@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -90,6 +91,70 @@ void BM_SimulatorPeriodicChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_SimulatorPeriodicChain);
+
+// The stack_mix shape: a cell's whole traffic schedule is injected before
+// the run (3,200 future arrivals), while a slot tick every 0.25 ms schedules
+// about 6 near-term protocol events from inside its callback, and each
+// arrival schedules one follow-up. The injected backlog stays deep for the
+// whole run; the near-term churn does not. Items = events fired.
+void BM_SimulatorInjectedBacklog(benchmark::State& state) {
+  constexpr int kArrivals = 3200;
+  constexpr int kSlots = 8000;  // 2 s of 0.25 ms slots
+  constexpr std::int64_t kSlotNs = 250'000;
+  std::uint64_t fired_total = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    Rng rng(11);
+    long fired = 0;
+    for (int i = 0; i < kArrivals; ++i) {
+      const Nanos at{static_cast<std::int64_t>(rng.uniform_int(kSlots * kSlotNs))};
+      sim.schedule_at(at, [&sim, &fired] {
+        ++fired;
+        sim.schedule_after(Nanos{30'000}, [&fired] { ++fired; });
+      });
+    }
+    struct SlotTick {
+      Simulator& sim;
+      long& fired;
+      void operator()() const {
+        ++fired;
+        for (std::int64_t k = 1; k <= 5; ++k) {
+          sim.schedule_after(Nanos{k * 45'000}, [f = &fired] { ++*f; });
+        }
+        if (sim.now() < Nanos{(kSlots - 1) * kSlotNs}) {
+          sim.schedule_after(Nanos{kSlotNs}, SlotTick{sim, fired});
+        }
+      }
+    };
+    sim.schedule_at(Nanos::zero(), SlotTick{sim, fired});
+    sim.run_until();
+    fired_total += static_cast<std::uint64_t>(fired);
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired_total));
+}
+BENCHMARK(BM_SimulatorInjectedBacklog);
+
+// Many events per timestamp: 64 share every timestamp (64 timestamps,
+// scheduled timestamp-interleaved). Per-timestamp bucketing favours this
+// regime; the case shows what the heap kernel gives up in it.
+void BM_SimulatorSameTimestampBurst(benchmark::State& state) {
+  constexpr int kTimes = 64;
+  constexpr int kPerTime = 64;
+  for (auto _ : state) {
+    Simulator sim;
+    int fired = 0;
+    for (int i = 0; i < kPerTime; ++i) {
+      for (int t = 0; t < kTimes; ++t) {
+        sim.schedule_at(Nanos{t * 250'000}, [&fired] { ++fired; });
+      }
+    }
+    sim.run_until();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kTimes * kPerTime);
+}
+BENCHMARK(BM_SimulatorSameTimestampBurst);
 
 // End-to-end wall-clock proxy: one small testbed Fig-6-style run. Tracks the
 // full-stack cost per packet, the number the parallel runner multiplies.

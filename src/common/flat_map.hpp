@@ -3,11 +3,11 @@
 //
 // `std::unordered_map` costs a heap node per entry and a pointer chase per
 // lookup; profiles of bench_scaleout showed its `find` alone at ~2% of wall
-// time (Tracer cursors) before this existed, and the event kernel's
-// timestamp->bucket index needs a lookup per scheduled event. This map is a
-// single flat array with linear probing and backward-shift deletion: no
-// tombstones, no per-entry allocation, and — because capacity only grows —
-// zero allocations in steady state once the high-water size is reached.
+// time in the Tracer's open-packet cursor map, which is this map's only
+// user. It is a single flat array with linear probing and backward-shift
+// deletion: no tombstones, no per-entry allocation, and — because capacity
+// only grows — zero allocations in steady state once the high-water size is
+// reached.
 //
 // Scope is deliberately narrow: trivially-copyable keys/values (entries are
 // relocated by assignment during deletion and rehash), no iteration order

@@ -6,17 +6,21 @@
 // order so same-timestamp events run in scheduling order (deterministic
 // replay).
 //
-// Hot-path design — the kernel executes a slot as a batch, not as N
-// independent heap pops:
+// Hot-path design:
 //
-//  * Timestamp coalescing. Slot-synchronous systems schedule many events at
-//    the same instant (slot ticks, grant starts, HARQ feedback edges). The
-//    priority queue therefore holds one entry per *distinct* timestamp; the
-//    events of a timestamp live in a FIFO bucket that is drained as one
-//    batch. Scheduling into an already-pending timestamp is a hash lookup
-//    plus a vector append — no heap sift at all — and events scheduled *at*
-//    the timestamp currently being drained are appended to the live bucket
-//    and fire in the same batch, preserving (time, seq) order exactly.
+//  * Two-tier (time, seq) heap. Pending events are compact {when, seq, slot}
+//    entries in two 4-ary min-heaps. Events scheduled from outside a run
+//    (setup, and traffic injected between windows) go to the injection heap;
+//    events scheduled by firing callbacks go to the runtime heap. Each pop
+//    takes the smaller of the two tops by (when, seq), so the order is exact
+//    whatever the split and the split only affects speed: a backlog of
+//    thousands of far-future injected arrivals never deepens the heap that
+//    the slot-by-slot protocol events churn through.
+//    There is deliberately no per-timestamp bucketing: the simulated shapes
+//    barely share timestamps (stack_mix fires 1.023 events per distinct
+//    timestamp, bench_scaleout's grant-free 16x8 cells 1.155, other testbed
+//    and city shapes 1.000-1.107), so a hash index and a FIFO bucket per
+//    timestamp cost more than the heap pushes they save (EXPERIMENTS.md).
 //  * In-place firing. Event closures are built directly inside their slot
 //    (`Action::emplace` from the templated `schedule_*` overloads) and
 //    invoked from there, so the schedule/fire cycle moves zero `Action`
@@ -24,21 +28,21 @@
 //    which is what makes firing in place safe while callbacks schedule new
 //    events.
 //  * Lazy cancellation. `cancel` flips a tombstone in the slot (releasing
-//    the captured resources eagerly) and the bucket entry is discarded when
-//    it surfaces.
+//    the captured resources eagerly) and the heap entry is discarded when it
+//    surfaces.
 //
 // Steady-state schedule/cancel/fire performs zero heap allocations once the
-// buckets, map, heap, and slot chunks have reached their high-water sizes.
+// heaps, free list and slot chunks have reached their high-water sizes.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/time.hpp"
 #include "sim/action.hpp"
 
@@ -96,7 +100,7 @@ class Simulator {
 
   /// Cancel a pending event. Returns true if the event had not yet fired or
   /// been cancelled. Safe on default-constructed handles. O(1): tombstones
-  /// the slot; the bucket entry is skipped when it surfaces.
+  /// the slot; the heap entry is skipped when it surfaces.
   bool cancel(EventHandle h) {
     if (!h.valid() || h.slot_ >= slot_count_) return false;
     Slot& s = slot(h.slot_);
@@ -109,58 +113,36 @@ class Simulator {
 
   /// Run until the event queue drains or `until` is reached (whichever first).
   /// If `until` bounds the run, the clock is advanced to exactly `until`.
+  /// Throws std::logic_error when called from inside a firing callback.
   void run_until(Nanos until = Nanos::max()) {
-    for (;;) {
-      if (draining_ == kNoBucket) {
-        if (heap_.empty() || heap_.top().when > until) break;
-        draining_ = heap_.top().bucket;
-        heap_.pop();
-      } else if (buckets_[draining_].when > until) {
-        break;  // half-drained bucket left by step(); out of this run's range
-      }
-      while (fire_next_in(draining_)) {
-      }
-      finish_bucket(draining_);
-      draining_ = kNoBucket;
+    const RunScope scope(running_, "run_until");
+    while (fire_next(until)) {
     }
     if (until != Nanos::max() && now_ < until) now_ = until;
   }
 
-  /// Fire exactly one live event; returns false if none remain.
+  /// Fire exactly one live event; returns false if none remain. Throws
+  /// std::logic_error when called from inside a firing callback.
   bool step() {
-    for (;;) {
-      if (draining_ == kNoBucket) {
-        if (heap_.empty()) return false;
-        draining_ = heap_.top().bucket;
-        heap_.pop();
-      }
-      // A bucket left partially drained here is resumed before any other:
-      // it holds the earliest timestamp (== now(), so nothing can be
-      // scheduled before it), and new arrivals at that same timestamp keep
-      // appending to it until it is finished.
-      if (fire_next_in(draining_)) return true;
-      finish_bucket(draining_);
-      draining_ = kNoBucket;
-    }
+    const RunScope scope(running_, "step");
+    return fire_next(Nanos::max());
   }
 
   [[nodiscard]] std::size_t pending_events() const { return live_; }
   [[nodiscard]] bool idle() const { return live_ == 0; }
-  /// Timestamp of the earliest pending bucket, or Nanos::max() when the
-  /// queue is empty. Conservative: a bucket holding only tombstoned events
-  /// still reports its time, so callers using this as a lookahead bound may
-  /// under-estimate the true next firing but never over-estimate it.
+  /// Timestamp of the earliest pending entry, or Nanos::max() when the
+  /// queue is empty. Conservative: a tombstoned entry still reports its
+  /// time, so callers using this as a lookahead bound may under-estimate the
+  /// true next firing but never over-estimate it.
   [[nodiscard]] Nanos next_event_time() const {
-    if (draining_ != kNoBucket) return buckets_[draining_].when;
-    return heap_.empty() ? Nanos::max() : heap_.top().when;
+    Nanos t = Nanos::max();
+    if (!injected_.empty()) t = injected_.top().when;
+    if (!runtime_.empty() && runtime_.top().when < t) t = runtime_.top().when;
+    return t;
   }
   /// Events fired over the simulator's lifetime — an always-on kernel stat
   /// benches export into the metrics registry.
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
-  /// Timestamp buckets drained over the lifetime. events_fired() divided by
-  /// this is the average coalescing factor: how many same-timestamp events
-  /// each batch executed per priority-queue pop.
-  [[nodiscard]] std::uint64_t batches_drained() const { return batches_; }
 
  private:
   struct Slot {
@@ -168,32 +150,94 @@ class Simulator {
     bool cancelled = false;
     Action action;
   };
-  struct HeapEntry {
+  struct Entry {
     Nanos when;
-    std::uint32_t bucket;
-  };
-  struct LaterTime {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const { return a.when > b.when; }
-  };
-  /// All events pending at one timestamp, in scheduling (seq) order.
-  struct Bucket {
-    Nanos when{};
-    std::uint32_t head = 0;  ///< next entry to fire
-    std::vector<std::uint32_t> evs;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
   struct SlotRef {
     Slot* s;
     std::uint32_t idx;
   };
 
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
+
+  /// Min-heap of entries by (when, seq). Four children per node halve the
+  /// depth of a binary heap; arity 4 measured faster than arity 2 and than
+  /// std::priority_queue on stack_mix and the kernel micro-benchmarks
+  /// (EXPERIMENTS.md).
+  class Heap {
+   public:
+    static constexpr std::size_t kArity = 4;
+
+    [[nodiscard]] bool empty() const { return v_.empty(); }
+    [[nodiscard]] const Entry& top() const { return v_.front(); }
+
+    void push(const Entry& e) {
+      std::size_t i = v_.size();
+      v_.push_back(e);
+      while (i > 0) {
+        const std::size_t parent = (i - 1) / kArity;
+        if (!before(e, v_[parent])) break;
+        v_[i] = v_[parent];
+        i = parent;
+      }
+      v_[i] = e;
+    }
+
+    Entry pop() {
+      const Entry out = v_.front();
+      const Entry last = v_.back();
+      v_.pop_back();
+      const std::size_t n = v_.size();
+      if (n == 0) return out;
+      std::size_t i = 0;
+      for (;;) {
+        const std::size_t first = i * kArity + 1;
+        if (first >= n) break;
+        const std::size_t end = first + kArity < n ? first + kArity : n;
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+          if (before(v_[c], v_[best])) best = c;
+        }
+        if (!before(v_[best], last)) break;
+        v_[i] = v_[best];
+        i = best;
+      }
+      v_[i] = last;
+      return out;
+    }
+
+   private:
+    std::vector<Entry> v_;
+  };
+
+  /// Marks the kernel as running for one run_until()/step() call, which
+  /// routes callback-scheduled events to the runtime heap, and rejects a
+  /// nested call from inside a firing callback.
+  struct RunScope {
+    RunScope(bool& flag, const char* call) : running(flag) {
+      if (running) {
+        throw std::logic_error{std::string{"Simulator::"} + call +
+                               "() called from inside a firing callback"};
+      }
+      running = true;
+    }
+    ~RunScope() { running = false; }
+    RunScope(const RunScope&) = delete;
+    RunScope& operator=(const RunScope&) = delete;
+    bool& running;
+  };
+
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
   [[nodiscard]] Slot& slot(std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
 
-  /// Allocate a slot and a bucket entry for `when`; the caller fills the
+  /// Allocate a slot and a heap entry for `when`; the caller fills the
   /// action in place. Slots come from fixed chunks so the returned pointer
   /// stays valid even if callbacks grow the kernel's containers.
   SlotRef prepare(Nanos when) {
@@ -210,83 +254,54 @@ class Simulator {
     Slot& s = slot(idx);
     s.seq = seq;
     s.cancelled = false;
-    enqueue(when, idx);
+    (running_ ? runtime_ : injected_).push(Entry{when, seq, idx});
     ++live_;
     return {&s, idx};
   }
 
-  /// Append the slot to `when`'s bucket, activating the bucket (one heap
-  /// push) only for the first event at a given pending timestamp.
-  void enqueue(Nanos when, std::uint32_t slot_idx) {
-    std::uint32_t bi;
-    if (std::uint32_t* found = time_map_.find(when.count()); found != nullptr) {
-      bi = *found;
-    } else {
-      if (bucket_free_.empty()) {
-        bi = static_cast<std::uint32_t>(buckets_.size());
-        buckets_.emplace_back();
-      } else {
-        bi = bucket_free_.back();
-        bucket_free_.pop_back();
-      }
-      buckets_[bi].when = when;
-      time_map_[when.count()] = bi;
-      heap_.push(HeapEntry{when, bi});
-    }
-    buckets_[bi].evs.push_back(slot_idx);
-  }
-
-  /// Fire the next live event of bucket `b`; returns false when the bucket
-  /// is exhausted (trailing tombstones included). The action runs inside its
-  /// slot — chunks never move, and the slot is recycled only after it
-  /// returns, so callbacks may freely schedule and cancel.
-  bool fire_next_in(std::uint32_t b) {
+  /// Fire the earliest live event if it is due by `until`; returns false
+  /// when none is. Tombstones that surface on the way are recycled. The
+  /// action runs inside its slot — chunks never move, and the slot is
+  /// recycled only after it returns, so callbacks may freely schedule and
+  /// cancel.
+  bool fire_next(Nanos until) {
     for (;;) {
-      Bucket& bk = buckets_[b];  // re-resolve: callbacks may grow buckets_
-      if (bk.head >= bk.evs.size()) return false;
-      const std::uint32_t si = bk.evs[bk.head++];
-      Slot& s = slot(si);
+      Heap* h;
+      if (injected_.empty()) {
+        if (runtime_.empty()) return false;
+        h = &runtime_;
+      } else {
+        h = runtime_.empty() || before(injected_.top(), runtime_.top()) ? &injected_ : &runtime_;
+      }
+      if (h->top().when > until) return false;
+      const Entry e = h->pop();
+      Slot& s = slot(e.slot);
+      s.seq = 0;  // the handle goes inert, whether the event fires or was cancelled
       if (s.cancelled) {
-        s.seq = 0;
         s.cancelled = false;
-        free_.push_back(si);
+        free_.push_back(e.slot);
         continue;
       }
-      s.seq = 0;  // firing now: the handle goes inert, exactly as if popped
       --live_;
       ++fired_;
-      now_ = bk.when;
+      now_ = e.when;
       if (s.action) s.action();
       s.action.reset();
-      free_.push_back(si);
+      free_.push_back(e.slot);
       return true;
     }
-  }
-
-  /// Retire a fully drained bucket: only now does its timestamp leave the
-  /// map, so same-timestamp arrivals during the drain joined this batch.
-  void finish_bucket(std::uint32_t b) {
-    Bucket& bk = buckets_[b];
-    ++batches_;
-    time_map_.erase(bk.when.count());
-    bk.evs.clear();
-    bk.head = 0;
-    bucket_free_.push_back(b);
   }
 
   Nanos now_ = Nanos::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
-  std::uint64_t batches_ = 0;
   std::size_t live_ = 0;
   std::uint32_t slot_count_ = 0;
-  std::uint32_t draining_ = kNoBucket;
+  bool running_ = false;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> bucket_free_;
-  FlatHashMap<std::int64_t, std::uint32_t> time_map_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, LaterTime> heap_;
+  Heap injected_;  ///< scheduled from outside a run
+  Heap runtime_;   ///< scheduled by firing callbacks
 };
 
 }  // namespace u5g

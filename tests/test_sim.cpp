@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/periodic.hpp"
@@ -62,78 +66,207 @@ TEST(SimulatorTest, SameTimestampFifo) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SimulatorTest, CoalescedSameTimestampFiringMatchesReferenceModel) {
-  // Property test for the bucket-coalescing kernel: random workloads with
-  // heavy timestamp ties — including events that schedule children at the
-  // *same* timestamp mid-drain, which must join the live bucket in FIFO
-  // position — fire in exactly the (time, scheduling-order) sequence of a
-  // bucket-oblivious reference model.
-  constexpr int kInitial = 64;
-  constexpr int kTimes = 7;  // 64 events over 7 timestamps: ties everywhere
-  constexpr int kSpawnBase = 10000;
-  constexpr int kSpawnCap = kSpawnBase + 200;
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
-    const auto h = [trial](int id) {
-      return splitmix64(trial * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(id));
-    };
-    const auto time_of = [&](int id) {
-      return static_cast<std::int64_t>(h(id) % kTimes) * 100;
-    };
-
-    // Reference model: a flat list ordered by (time, scheduling seq); a
-    // fired event may append a child at its own timestamp or 50 ns later.
-    struct Rec {
-      std::int64_t t;
-      std::uint64_t seq;
-      int id;
-    };
-    std::vector<Rec> pending;
-    std::vector<int> ref_order;
-    std::uint64_t seq = 0;
-    for (int id = 0; id < kInitial; ++id) pending.push_back({time_of(id), seq++, id});
-    int ref_spawn = kSpawnBase;
-    while (!pending.empty()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < pending.size(); ++i) {
-        if (pending[i].t < pending[best].t ||
-            (pending[i].t == pending[best].t && pending[i].seq < pending[best].seq)) {
-          best = i;
-        }
-      }
-      const Rec r = pending[best];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best));
-      ref_order.push_back(r.id);
-      if (ref_spawn < kSpawnCap) {
-        const std::uint64_t kind = h(r.id) % 3;
-        if (kind == 0) pending.push_back({r.t, seq++, ref_spawn++});
-        else if (kind == 1) pending.push_back({r.t + 50, seq++, ref_spawn++});
-      }
-    }
-
-    // The kernel, driven by the identical spawn script.
-    Simulator sim;
-    std::vector<int> order;
-    int spawn = kSpawnBase;
-    std::function<void(int, std::int64_t)> fire = [&](int id, std::int64_t t) {
-      order.push_back(id);
-      if (spawn < kSpawnCap) {
-        const std::uint64_t kind = h(id) % 3;
-        if (kind == 0) {
-          const int c = spawn++;
-          sim.schedule_at(Nanos{t}, [&fire, c, t] { fire(c, t); });
-        } else if (kind == 1) {
-          const int c = spawn++;
-          sim.schedule_at(Nanos{t + 50}, [&fire, c, t] { fire(c, t + 50); });
-        }
-      }
-    };
-    for (int id = 0; id < kInitial; ++id) {
-      const std::int64_t t = time_of(id);
-      sim.schedule_at(Nanos{t}, [&fire, id, t] { fire(id, t); });
-    }
-    sim.run_until();
-    ASSERT_EQ(ref_order, order) << "trial " << trial;
+// Reference model for the kernel property test: a flat list of every event
+// ever scheduled, fired by linear scan in (time, scheduling-order) order.
+// It knows nothing of the kernel's two heaps.
+class ReferenceSim {
+ public:
+  [[nodiscard]] Nanos now() const { return now_; }
+  std::size_t schedule_at(Nanos when, std::function<void()> fn) {
+    recs_.push_back({when, true, std::move(fn)});
+    return recs_.size() - 1;  // the index doubles as the scheduling seq
   }
+  bool cancel(std::size_t h) {
+    if (!recs_[h].live) return false;
+    recs_[h].live = false;
+    return true;
+  }
+  bool step() { return fire_next(Nanos::max()); }
+  void run_until(Nanos until) {
+    while (fire_next(until)) {
+    }
+    if (until != Nanos::max() && now_ < until) now_ = until;
+  }
+  [[nodiscard]] std::size_t pending_events() const {
+    std::size_t n = 0;
+    for (const Rec& r : recs_) n += r.live ? 1 : 0;
+    return n;
+  }
+  [[nodiscard]] Nanos earliest_live() const {
+    const std::size_t i = earliest();
+    return i == recs_.size() ? Nanos::max() : recs_[i].when;
+  }
+
+ private:
+  struct Rec {
+    Nanos when;
+    bool live;
+    std::function<void()> fn;
+  };
+  [[nodiscard]] std::size_t earliest() const {
+    std::size_t best = recs_.size();
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      if (recs_[i].live && (best == recs_.size() || recs_[i].when < recs_[best].when)) best = i;
+    }
+    return best;
+  }
+  bool fire_next(Nanos until) {
+    const std::size_t i = earliest();
+    if (i == recs_.size() || recs_[i].when > until) return false;
+    recs_[i].live = false;
+    now_ = recs_[i].when;
+    std::function<void()> fn = std::move(recs_[i].fn);  // fn may grow recs_
+    fn();
+    return true;
+  }
+
+  Nanos now_ = Nanos::zero();
+  std::vector<Rec> recs_;
+};
+
+// One randomised script, run against either the kernel or the reference.
+// Every choice comes from a counter-based hash stream, so two scripts with
+// the same trial make identical choices for as long as they fire identical
+// sequences. Times sit on a 50 ns grid, so equal timestamps are common.
+template <typename Sim>
+struct KernelScript {
+  using Handle = decltype(std::declval<Sim&>().schedule_at(Nanos{}, std::function<void()>{}));
+  static constexpr int kSpawnCap = 300;
+
+  explicit KernelScript(std::uint64_t trial) : state(trial * 0x9E3779B97F4A7C15ULL) {}
+
+  std::uint64_t next() { return splitmix64(state++); }
+
+  // Schedule event `handles.size()` at `when`. From outside a run it lands
+  // in the kernel's injection heap; from inside a callback, in the runtime
+  // heap.
+  void add(Nanos when) {
+    const int id = static_cast<int>(handles.size());
+    handles.emplace_back();
+    from_callback.push_back(in_callback);
+    times.push_back(when);
+    handles[static_cast<std::size_t>(id)] =
+        sim.schedule_at(when, std::function<void()>{[this, id] { fire(id); }});
+  }
+
+  void cancel_one(std::uint64_t r) {
+    const std::size_t i = r % handles.size();
+    const bool ok = sim.cancel(handles[i]);
+    outcomes.push_back(ok ? 1 : 0);
+    if (ok) ++(from_callback[i] ? cancelled_runtime : cancelled_injected);
+  }
+
+  // The initial events, scheduled before any run.
+  void seed_events(int n) {
+    for (int i = 0; i < n; ++i) add(Nanos{50 * static_cast<std::int64_t>(next() % 8)});
+  }
+
+  // A firing event spawns a child at its own timestamp or later, cancels a
+  // random event in either tier, or does nothing.
+  void fire(int id) {
+    const Nanos t = times[static_cast<std::size_t>(id)];
+    order.push_back(id);
+    in_callback = true;
+    const std::uint64_t r = next();
+    switch (r % 4) {
+      case 0:  // same-timestamp child
+      case 1:  // child 50-150 ns later
+        if (spawned < kSpawnCap) {
+          ++spawned;
+          add(t + Nanos{r % 4 == 0 ? 0 : 50 * static_cast<std::int64_t>(1 + (r >> 2) % 3)});
+        }
+        break;
+      case 2:
+        cancel_one(r >> 8);
+        break;
+      default:
+        break;
+    }
+    in_callback = false;
+  }
+
+  // One operation from outside a run: inject, cancel, step() or run_until().
+  void op() {
+    const std::uint64_t r = next();
+    const std::int64_t k = static_cast<std::int64_t>((r >> 2) % 6);
+    switch (r % 4) {
+      case 0:
+        add(sim.now() + Nanos{50 * k});
+        break;
+      case 1:
+        cancel_one(r >> 8);
+        break;
+      case 2:
+        outcomes.push_back(sim.step() ? 1 : 0);
+        break;
+      default:
+        sim.run_until(sim.now() + Nanos{50 * (k % 4)});
+        break;
+    }
+  }
+
+  Sim sim;
+  std::uint64_t state;
+  bool in_callback = false;
+  int spawned = 0;
+  std::vector<Handle> handles;
+  std::vector<bool> from_callback;
+  std::vector<Nanos> times;
+  std::vector<int> order;
+  std::vector<int> outcomes;  ///< cancel() and step() results, in call order
+  int cancelled_injected = 0;
+  int cancelled_runtime = 0;
+};
+
+TEST(SimulatorTest, TwoTierFiringMatchesReferenceModel) {
+  // Property test for the two-tier heap: events scheduled from outside a
+  // run and from inside callbacks share timestamps with interleaved seqs,
+  // are cancelled in both tiers, and are fired by interleaved step() and
+  // run_until() calls. After every operation the kernel must have fired
+  // exactly the reference's (time, seq) sequence, agree on every cancel()
+  // and step() result, and report a next_event_time() no later than the
+  // reference's earliest live event.
+  int mixed_ties = 0;
+  int cancelled_injected = 0;
+  int cancelled_runtime = 0;
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    KernelScript<Simulator> k(trial);
+    KernelScript<ReferenceSim> ref(trial);
+    k.seed_events(24);
+    ref.seed_events(24);
+    const auto check = [&](int op) {
+      ASSERT_EQ(k.order, ref.order) << "trial " << trial << " op " << op;
+      ASSERT_EQ(k.outcomes, ref.outcomes) << "trial " << trial << " op " << op;
+      ASSERT_EQ(k.sim.now(), ref.sim.now()) << "trial " << trial << " op " << op;
+      ASSERT_EQ(k.sim.pending_events(), ref.sim.pending_events()) << "trial " << trial << " op " << op;
+      ASSERT_LE(k.sim.next_event_time(), ref.sim.earliest_live()) << "trial " << trial << " op " << op;
+    };
+    for (int op = 0; op < 400; ++op) {
+      k.op();
+      ref.op();
+      check(op);
+      if (HasFatalFailure()) return;
+    }
+    k.sim.run_until(Nanos::max());
+    ref.sim.run_until(Nanos::max());
+    check(-1);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(k.sim.next_event_time(), Nanos::max());
+
+    // Count adjacent firings at one timestamp that come from different tiers
+    // with the runtime event scheduled first: proof that the two heaps held
+    // equal timestamps with interleaved seqs.
+    for (std::size_t i = 1; i < ref.order.size(); ++i) {
+      const auto a = static_cast<std::size_t>(ref.order[i - 1]);
+      const auto b = static_cast<std::size_t>(ref.order[i]);
+      if (ref.times[a] == ref.times[b] && ref.from_callback[a] && !ref.from_callback[b]) ++mixed_ties;
+    }
+    cancelled_injected += ref.cancelled_injected;
+    cancelled_runtime += ref.cancelled_runtime;
+  }
+  EXPECT_GT(mixed_ties, 0);
+  EXPECT_GT(cancelled_injected, 0);
+  EXPECT_GT(cancelled_runtime, 0);
 }
 
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
@@ -151,6 +284,44 @@ TEST(SimulatorTest, SchedulingIntoPastThrows) {
   sim.schedule_at(100_ns, [] {});
   sim.run_until();
   EXPECT_THROW(sim.schedule_at(50_ns, [] {}), std::invalid_argument);
+}
+
+TEST(SimulatorTest, NestedRunFromCallbackThrows) {
+  Simulator sim;
+  std::string run_msg;
+  std::string step_msg;
+  bool later_fired = false;
+  sim.schedule_at(10_ns, [&] {
+    try {
+      sim.run_until(20_ns);
+    } catch (const std::logic_error& e) {
+      run_msg = e.what();
+    }
+    try {
+      sim.step();
+    } catch (const std::logic_error& e) {
+      step_msg = e.what();
+    }
+  });
+  sim.schedule_at(20_ns, [&] { later_fired = true; });
+  EXPECT_TRUE(sim.step());
+  EXPECT_NE(run_msg.find("run_until"), std::string::npos) << run_msg;
+  EXPECT_NE(step_msg.find("step"), std::string::npos) << step_msg;
+  EXPECT_FALSE(later_fired);  // the rejected calls fired nothing
+  EXPECT_EQ(sim.now(), 10_ns);
+  sim.run_until();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(sim.events_fired(), 2u);
+}
+
+TEST(SimulatorTest, ThrowingCallbackLeavesKernelUsable) {
+  Simulator sim;
+  sim.schedule_at(10_ns, [] { throw std::runtime_error{"boom"}; });
+  EXPECT_THROW(sim.run_until(), std::runtime_error);
+  bool fired = false;
+  sim.schedule_at(20_ns, [&] { fired = true; });
+  sim.run_until();  // not mistaken for a nested call
+  EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorTest, RunUntilBoundsAndAdvancesClock) {
@@ -351,29 +522,39 @@ TEST(ActionTest, SmallActionIsHeapFree) {
 TEST(SimulatorTest, SteadyStateScheduleFireCancelIsHeapFree) {
   Simulator sim;
   long fired = 0;
-  // Warm-up: push the queue, slot map and free list past the high-water mark
-  // so the vectors keep their capacity for the measured phase.
-  std::vector<EventHandle> warm;
-  for (int i = 0; i < 256; ++i) {
-    warm.push_back(sim.schedule_at(Nanos{i}, [&fired] { ++fired; }));
-  }
-  for (std::size_t i = 0; i < warm.size(); i += 2) sim.cancel(warm[i]);
-  sim.run_until();
-  warm.clear();
-  warm.reserve(256);
+  std::vector<EventHandle> injected;
+  std::vector<EventHandle> children;
+  injected.reserve(128);
+  children.reserve(128);
+  // One round schedules 128 events from outside the run (the injection
+  // heap) and cancels a third of them. Each one that fires schedules a child
+  // from inside its callback (the runtime heap), and every second one
+  // cancels the child scheduled before it, so both heaps schedule, fire and
+  // cancel.
+  const auto round = [&] {
+    const Nanos base = sim.now();
+    injected.clear();
+    children.clear();
+    for (int i = 0; i < 128; ++i) {
+      injected.push_back(sim.schedule_at(base + Nanos{i + 1}, [&] {
+        if (++fired % 2 == 0 && !children.empty()) sim.cancel(children.back());
+        children.push_back(sim.schedule_after(Nanos{3}, [&fired] { ++fired; }));
+      }));
+    }
+    for (std::size_t i = 0; i < injected.size(); i += 3) sim.cancel(injected[i]);
+    sim.run_until();
+  };
+  // Warm-up: push the heaps, slot chunks and free list to their high-water
+  // sizes so the vectors keep their capacity for the measured phase.
+  round();
+  round();
 
   const std::size_t before = g_allocs.load();
-  for (int round = 0; round < 4; ++round) {
-    const Nanos base = sim.now();
-    warm.clear();
-    for (int i = 0; i < 128; ++i) {
-      warm.push_back(sim.schedule_at(base + Nanos{i + 1}, [&fired] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < warm.size(); i += 3) sim.cancel(warm[i]);
-    sim.run_until();
-  }
+  const long fired_before = fired;
+  for (int r = 0; r < 4; ++r) round();
   EXPECT_EQ(g_allocs.load(), before) << "kernel steady state must not touch the heap";
-  EXPECT_GT(fired, 0);
+  EXPECT_GT(fired, fired_before);
+  EXPECT_FALSE(children.empty());
 }
 
 // ---------------------------------------------------------------------------

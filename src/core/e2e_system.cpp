@@ -155,9 +155,16 @@ struct E2eSystem::Impl {
   std::array<RunningStats, 6> gnb_layer_stats;
   RunningStats rlc_q_stats_us;
   std::uint64_t missed_grants = 0;
-  std::uint64_t harq_dropped = 0;   ///< TBs dropped: HARQ budget exhausted
-  std::uint64_t stranded_drops = 0; ///< TBs/SDUs dropped: no opportunity in cap
-  std::uint64_t pdcp_discards = 0;  ///< PDUs PDCP refused: stale/duplicate/integrity
+
+  /// Terminal loss buckets: an offered packet that is not delivered ends in
+  /// exactly one of these, or in a UPF-outage drop (tallied by `faults`).
+  /// Harq: HARQ budget exhausted. Stranded: no opportunity within the retry
+  /// cap. PdcpDiscard: PDU refused (stale, duplicate or integrity-failed).
+  enum class Loss : std::uint8_t { Harq, Stranded, PdcpDiscard };
+  static constexpr std::array<const char*, 3> kLossMetric = {
+      "harq.dropped_tbs", "harq.stranded_drops", "pdcp.discards"};
+  static constexpr std::size_t kLossKinds = kLossMetric.size();
+  std::array<std::uint64_t, kLossKinds> losses{};
 
   // -- Dynamic TDD state (all inert when cfg.dynamic_tdd.enabled is false) --
   std::optional<DynamicFormatPolicy> policy;  ///< engaged iff dynamic enabled
@@ -189,8 +196,7 @@ struct E2eSystem::Impl {
     Counter* dl_sent = nullptr;
     Counter* delivered = nullptr;
     Counter* harq_retx = nullptr;
-    Counter* harq_drop = nullptr;
-    Counter* stranded = nullptr;
+    std::array<Counter*, kLossKinds> loss{};  ///< indexed by Loss
     Counter* radio_miss = nullptr;
     Counter* missed_grant = nullptr;
     Counter* f_burst = nullptr;
@@ -255,8 +261,7 @@ struct E2eSystem::Impl {
       m.dl_sent = &metrics.counter("packets.dl_sent");
       m.delivered = &metrics.counter("packets.delivered");
       m.harq_retx = &metrics.counter("packets.harq_retransmissions");
-      m.harq_drop = &metrics.counter("harq.dropped_tbs");
-      m.stranded = &metrics.counter("harq.stranded_drops");
+      for (std::size_t i = 0; i < kLossKinds; ++i) m.loss[i] = &metrics.counter(kLossMetric[i]);
       m.radio_miss = &metrics.counter("radio.deadline_misses");
       m.missed_grant = &metrics.counter("mac.missed_grants");
       m.f_burst = &metrics.counter("fault.burst_losses");
@@ -336,8 +341,10 @@ struct E2eSystem::Impl {
   /// [wanted, wanted + dur). The caller's trace cursor sits at `wanted`
   /// (every data TX path advances it to the nominal air start first), so the
   /// deferral span tiles exactly between the slot wait and the over-the-air
-  /// span — the fourth latency category. Only called when `lbt` is engaged.
+  /// span — the fourth latency category. Licensed spectrum (no gate) grants
+  /// every burst at once: zero deferral, no collision, no draw.
   LbtGate::Access lbt_clear(std::int32_t tseq, Nanos wanted, Nanos dur) {
+    if (!lbt) return {};
     const LbtGate::Access a = lbt->acquire(wanted, dur, sim.now());
     if (a.deferral > Nanos::zero()) {
       tracer.span_to(tseq, "LBT deferral (CAT4 backoff)", LatencyCategory::ChannelAccess,
@@ -377,23 +384,59 @@ struct E2eSystem::Impl {
     return false;
   }
 
+  /// The loss-stage chain every data burst runs once, after its LBT clear:
+  /// channel (burst or i.i.d., then blockage) → cross-link (UL only) →
+  /// hidden-interferer collision. The first stage that loses the burst
+  /// short-circuits the rest, so a later stage draws only for bursts the
+  /// earlier ones passed. The outcome is the HARQ feedback the gate's
+  /// contention-window update observes.
+  bool air_lost(Direction dir, const LbtGate::Access& access) {
+    const bool lost = channel_lost() || (dir == Direction::Uplink && crosslink_ul_lost()) ||
+                      access.collided;
+    if (lbt) lbt->on_harq_feedback(lost);
+    return lost;
+  }
+
   // -- Fault-injection hooks -------------------------------------------------
   // All zero-cost when `cfg.faults` is empty: one `empty()` branch per hook.
 
-  /// Added radio-bus transfer latency at `now`. When `trace_span` (the RX
-  /// chain sites, where spans are duration-based) the stall is emitted as
-  /// its own Radio span; the TX `prepare_tx` sites fold it into `ready_at`
-  /// instead, where it erodes the §4 margin and can miss the slot.
-  Nanos fault_bus_stall(std::int32_t tseq, bool trace_span) {
+  /// Added radio-bus transfer latency at `now`. An RX chain (radio_rx)
+  /// traces the stall as its own Radio span; the DL TX staging folds it into
+  /// `ready_at` instead, where it erodes the §4 margin and can miss the slot.
+  Nanos fault_bus_stall() {
     if (faults.empty()) return Nanos::zero();
     const Nanos stall = faults.bus_stall(sim.now());
-    if (stall > Nanos::zero()) {
-      if (m.f_stall != nullptr) m.f_stall->inc();
-      if (trace_span) {
-        tracer.span_for(tseq, "fault: radio-bus stall", LatencyCategory::Radio, stall);
-      }
-    }
+    if (stall > Nanos::zero() && m.f_stall != nullptr) m.f_stall->inc();
     return stall;
+  }
+
+  /// One radio RX chain: delivery of the samples of `air` worth of signal
+  /// (traced as `span`), then any bus stall, then `done`.
+  template <typename Done>
+  void radio_rx(RadioHead& rh, const char* span, std::int32_t tseq, Nanos air, Done done) {
+    const Nanos rx = rh.rx_delivery_latency(samples_of(rh, air));
+    tracer.span_for(tseq, span, LatencyCategory::Radio, rx);
+    const Nanos stall = fault_bus_stall();
+    if (stall > Nanos::zero()) {
+      tracer.span_for(tseq, "fault: radio-bus stall", LatencyCategory::Radio, stall);
+    }
+    sim.schedule_after(rx + stall, std::move(done));
+  }
+
+  /// A UPF outage at `now` for the packet traced as `tseq`: nullopt when it
+  /// drops the packet, otherwise the (traced) extra delay it adds.
+  std::optional<Nanos> upf_outage(std::int32_t tseq) {
+    if (faults.empty()) return Nanos::zero();
+    if (faults.upf_dropped(sim.now())) {
+      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
+      return std::nullopt;
+    }
+    const Nanos extra = faults.upf_extra_delay(sim.now());
+    if (extra > Nanos::zero()) {
+      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
+      tracer.span_for(tseq, "fault: UPF outage delay", LatencyCategory::Protocol, extra);
+    }
+    return extra;
   }
 
   /// Wrap a traversal continuation so an active OS-jitter storm adds one
@@ -413,23 +456,24 @@ struct E2eSystem::Impl {
     };
   }
 
-  /// Account a TB whose HARQ transmission budget is exhausted. `tseq` is the
-  /// per-UE trace cursor for the affected direction; the traced packet is
-  /// abandoned (its spans stay, it never closes).
-  void drop_tb_harq(std::int32_t& tseq) {
-    ++harq_dropped;
-    if (m.harq_drop != nullptr) m.harq_drop->inc();
+  /// The one writer of the loss buckets: the tally and its metric.
+  void count_loss(Loss kind) {
+    const auto k = static_cast<std::size_t>(kind);
+    ++losses[k];
+    if (m.loss[k] != nullptr) m.loss[k]->inc();
+  }
+
+  /// A dropped TB/SDU also ends the traced packet: `tseq` is the per-UE
+  /// trace cursor for the affected direction, and the packet is abandoned
+  /// (its spans stay, it never closes).
+  void count_loss(Loss kind, std::int32_t& tseq) {
+    count_loss(kind);
     tracer.abandon(tseq);
     tseq = -1;
   }
 
-  /// Account a TB/SDU dropped because no opportunity appeared within the
-  /// stranded-retry cap.
-  void drop_stranded(std::int32_t& tseq) {
-    ++stranded_drops;
-    if (m.stranded != nullptr) m.stranded->inc();
-    tracer.abandon(tseq);
-    tseq = -1;
+  [[nodiscard]] std::uint64_t loss(Loss kind) const {
+    return losses[static_cast<std::size_t>(kind)];
   }
 
   /// After an UL drop the grant cycle that carried the TB is over; without
@@ -449,14 +493,19 @@ struct E2eSystem::Impl {
     }
   }
 
-  /// PDCP t-Reordering (TS 38.323 §5.2.2.2): when a PDU is held waiting for
-  /// a missing COUNT, a timer bounds the wait; on expiry the held run is
-  /// flushed past the gap. Without this, one HARQ-exhausted loss would stall
-  /// in-order delivery forever. `deliver` is copied into the timer event —
-  /// PdcpRx::Deliver itself is a non-owning FunctionRef — so the early-out
-  /// (the loss-free common case) pays nothing for the owning copy.
+  /// PDCP receive of one SDU (both directions). A refused PDU (stale behind
+  /// a t-Reordering flush, duplicate, or integrity-failed) is a terminal
+  /// loss for its packet: count it, or reliability silently inflates when
+  /// recovery outlasts the flush timer. Then t-Reordering (TS 38.323
+  /// §5.2.2.2): when a PDU is held waiting for a missing COUNT, a timer
+  /// bounds the wait; on expiry the held run is flushed past the gap.
+  /// Without this, one HARQ-exhausted loss would stall in-order delivery
+  /// forever. `deliver` is copied into the timer event — PdcpRx::Deliver
+  /// itself is a non-owning FunctionRef — so the early-out (the loss-free
+  /// common case) pays nothing for the owning copy.
   template <typename DeliverFn>
-  void arm_pdcp_reordering(PdcpRx& rx, bool& armed, const DeliverFn& deliver) {
+  void pdcp_receive(PdcpRx& rx, bool& armed, ByteBuffer&& sdu, const DeliverFn& deliver) {
+    if (!rx.receive(std::move(sdu), deliver)) count_loss(Loss::PdcpDiscard);
     if (rx.held_count() == 0 || armed) return;
     armed = true;
     sim.schedule_after(cfg.pdcp_t_reordering, [this, &rx, &armed, deliver] {
@@ -492,6 +541,22 @@ struct E2eSystem::Impl {
                           LatencyCategory::Processing, dt);
         },
         storm_wrapped(tseq, std::move(done)));
+  }
+
+  /// Record a packet offered at `at` and schedule the start of its journey.
+  void offer(Nanos at, int ue, Direction dir) {
+    if (ue < 0 || static_cast<std::size_t>(ue) >= ues.size())
+      throw std::out_of_range{"E2eSystem: UE index out of range"};
+    PacketRecord r;
+    r.seq = static_cast<int>(owner.records_.size());
+    r.ue = ue;
+    r.dir = dir;
+    r.created = at;
+    owner.records_.push_back(r);
+    const std::size_t idx = owner.records_.size() - 1;
+    sim.schedule_at(at, [this, idx, dir] {
+      dir == Direction::Uplink ? start_uplink(idx) : start_downlink(idx);
+    });
   }
 
   // =========================================================================
@@ -536,10 +601,8 @@ struct E2eSystem::Impl {
     tracer.span_to(ue.ul_trace, "SR over the air", LatencyCategory::Protocol, op->end);
     sim.schedule_at(op->end, [this, &ue] {
       // gNB side: radio delivery of the SR samples, then PHY decode.
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, cfg.duplex->numerology().symbol_duration()));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true), [this, &ue] {
+      radio_rx(gnb.compute.radio, "gNB radio RX chain", ue.ul_trace,
+               cfg.duplex->numerology().symbol_duration(), [this, &ue] {
         gnb_traverse({Layer::PHY}, std::nullopt, ue.ul_trace, [this, &ue](Nanos aware) {
           const auto plan = sched.plan_ul_grant(ue.id, aware);
           if (!plan) {
@@ -560,11 +623,8 @@ struct E2eSystem::Impl {
                    plan.control.end);
     sim.schedule_at(plan.control.end, [this, &ue, grant] {
       // UE decodes the DCI: radio + PHY + MAC.
-      const Nanos rx = ue.stack.compute.radio.rx_delivery_latency(
-          samples_of(ue.stack.compute.radio, cfg.duplex->numerology().symbol_duration()));
-      tracer.span_for(ue.ul_trace, "UE radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, grant] {
+      radio_rx(ue.stack.compute.radio, "UE radio RX chain", ue.ul_trace,
+               cfg.duplex->numerology().symbol_duration(), [this, &ue, grant] {
         ue_traverse(ue, {Layer::PHY, Layer::MAC}, ue.ul_trace, [this, &ue, grant](Nanos decoded) {
           if (decoded > grant.tx_start) {
             // Missed the granted window (§4's interdependency hazard):
@@ -581,7 +641,7 @@ struct E2eSystem::Impl {
           }
           tracer.span_to(ue.ul_trace, "wait for granted UL window", LatencyCategory::Protocol,
                          grant.tx_start);
-          sim.schedule_at(grant.tx_start, [this, &ue, grant] { serve_ul_grant(ue, grant, 1); });
+          sim.schedule_at(grant.tx_start, [this, &ue, grant] { serve_ul_grant(ue, grant); });
         });
       });
     });
@@ -604,11 +664,12 @@ struct E2eSystem::Impl {
     tracer.span_to(ue.ul_trace, "wait for UL occasion", LatencyCategory::Protocol, grant.tx_start);
     sim.schedule_at(grant.tx_start, [this, &ue, grant] {
       ue.cg_scheduled = false;
-      serve_ul_grant(ue, grant, 1);
+      serve_ul_grant(ue, grant);
     });
   }
 
-  void serve_ul_grant(UeCtx& ue, const UlGrant& grant, int attempt) {
+  /// First transmission on a grant or configured occasion.
+  void serve_ul_grant(UeCtx& ue, const UlGrant& grant) {
     // Fill the transport block: BSR CE first, then as many RLC PDUs as fit.
     // The CE's single payload byte is written after the pulls, once the
     // remaining backlog is known.
@@ -637,51 +698,52 @@ struct E2eSystem::Impl {
     // right away when backlog remains (it need not wait for the gNB).
     if (cfg.grant_free && rlc.has_data()) schedule_cg_service(ue);
 
+    if (transmit_ul(ue, grant, tb, /*attempt=*/1) == UlTx::Nacked) {
+      ue.retx_queue.push_back(UeCtx::RetxTb{std::move(tb), 2});
+      ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
+    }
+  }
+
+  enum class UlTx : std::uint8_t { Nacked, Dropped, Sent };
+
+  /// The one UL transmit path, first transmissions and HARQ retransmissions
+  /// alike: LBT clear → loss stages → NACK, HARQ-exhausted drop, or over the
+  /// air → gNB radio RX chain → bus stall → gnb_rx_ul. A NACKed TB is left
+  /// in `tb` for the caller to queue (its retransmission is already armed at
+  /// the feedback time); a dropped one has resumed the UE's access flow.
+  UlTx transmit_ul(UeCtx& ue, const UlGrant& grant, ByteBuffer& tb, int attempt) {
     // NR-U: the block must win channel access first; deferral shifts the
     // whole air window (the grid slot is a scheduling opportunity, the
-    // channel decides when the burst actually starts).
-    Nanos air_end = grant.tx_end;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.ul_trace, grant.tx_start, grant.tx_end - grant.tx_start);
-      air_end += access.deferral;
-    }
-    bool lost = channel_lost();
-    // Cross-link interference: a neighbouring cell's DL-upgraded slot facing
-    // this UL transmission (sharded engine, dynamic TDD).
-    if (!lost && crosslink_ul_lost()) lost = true;
-    // Hidden interference the energy detector could not see.
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost && attempt < cfg.harq_max_tx) {
-      // NACK path: keep the TB, and after the feedback delay retransmit on
-      // the next opportunity of the same access mode.
+    // channel decides when the burst actually starts). Retransmissions clear
+    // LBT like any other data burst (only short control signalling is exempt).
+    const LbtGate::Access access =
+        lbt_clear(ue.ul_trace, grant.tx_start, grant.tx_end - grant.tx_start);
+    const Nanos air_end = grant.tx_end + access.deferral;
+    if (air_lost(Direction::Uplink, access)) {
+      if (attempt >= cfg.harq_max_tx) {
+        // HARQ budget exhausted: account the TB, then resume the UE's
+        // remaining lost TBs and backlog.
+        count_loss(Loss::Harq, ue.ul_trace);
+        resume_ul_after_drop(ue);
+        return UlTx::Dropped;
+      }
+      // NACK path: after the feedback delay, retransmit on the next
+      // opportunity of the same access mode.
       tracer.span_to(ue.ul_trace, "UL data over the air (lost)", LatencyCategory::Protocol,
                      air_end);
       tracer.span_to(ue.ul_trace, "HARQ feedback wait", LatencyCategory::Protocol,
                      air_end + cfg.harq_feedback_delay);
-      ue.retx_queue.push_back(UeCtx::RetxTb{std::move(tb), attempt + 1});
-      ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
       sim.schedule_at(air_end + cfg.harq_feedback_delay, [this, &ue] { retransmit_ul(ue); });
-      return;
+      return UlTx::Nacked;
     }
-    if (lost) {
-      // HARQ budget exhausted on the first (and only) transmission.
-      drop_tb_harq(ue.ul_trace);
-      resume_ul_after_drop(ue);
-      return;
-    }
-
     tracer.span_to(ue.ul_trace, "UL data over the air", LatencyCategory::Protocol, air_end);
     sim.schedule_at(air_end, [this, &ue, tb = std::move(tb), attempt]() mutable {
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, Nanos{100'000}));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           gnb_rx_ul(ue, std::move(tb), attempt);
-                         });
+      radio_rx(gnb.compute.radio, "gNB radio RX chain", ue.ul_trace, Nanos{100'000},
+               [this, &ue, tb = std::move(tb), attempt]() mutable {
+                 gnb_rx_ul(ue, std::move(tb), attempt);
+               });
     });
+    return UlTx::Sent;
   }
 
   /// Acquire a fresh opportunity of the same access mode and re-send the
@@ -705,7 +767,7 @@ struct E2eSystem::Impl {
       if (++front.stranded_retries > kStrandedRetryCap) {
         ue.retx_queue.pop_front();
         ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-        drop_stranded(ue.ul_trace);
+        count_loss(Loss::Stranded, ue.ul_trace);
         resume_ul_after_drop(ue);
         return;
       }
@@ -726,53 +788,23 @@ struct E2eSystem::Impl {
     UeCtx::RetxTb entry = std::move(ue.retx_queue.front());
     ue.retx_queue.pop_front();
     ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-    // Retransmissions clear LBT like any other data burst (only short
-    // control signalling is exempt).
-    Nanos air_end = grant.tx_end;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.ul_trace, grant.tx_start, grant.tx_end - grant.tx_start);
-      air_end += access.deferral;
+    switch (transmit_ul(ue, grant, entry.tb, entry.attempt)) {
+      case UlTx::Nacked:
+        ++entry.attempt;
+        entry.stranded_retries = 0;
+        // Back to the *front*: the queue is ordered by first transmission,
+        // and a push_back here would let every newer loss overtake this
+        // (oldest) packet's recovery, unboundedly delaying its delivery.
+        ue.retx_queue.push_front(std::move(entry));
+        ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
+        break;
+      case UlTx::Sent:
+        // More lost TBs pending? Chain another opportunity.
+        if (!ue.retx_queue.empty()) retransmit_ul(ue);
+        break;
+      case UlTx::Dropped:  // the drop already resumed the UE's remaining TBs
+        break;
     }
-    bool lost = channel_lost();
-    if (!lost && crosslink_ul_lost()) lost = true;
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost && entry.attempt < cfg.harq_max_tx) {
-      tracer.span_to(ue.ul_trace, "UL data over the air (lost)", LatencyCategory::Protocol,
-                     air_end);
-      tracer.span_to(ue.ul_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                     air_end + cfg.harq_feedback_delay);
-      ++entry.attempt;
-      entry.stranded_retries = 0;
-      // Back to the *front*: the queue is ordered by first transmission, and
-      // a push_back here would let every newer loss overtake this (oldest)
-      // packet's recovery, unboundedly delaying its delivery.
-      ue.retx_queue.push_front(std::move(entry));
-      ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-      sim.schedule_at(air_end + cfg.harq_feedback_delay, [this, &ue] { retransmit_ul(ue); });
-      return;
-    }
-    if (lost) {
-      // HARQ budget exhausted on a retransmission: account it, then keep
-      // serving any other lost TBs (the early return used to orphan them).
-      drop_tb_harq(ue.ul_trace);
-      resume_ul_after_drop(ue);
-      return;
-    }
-    const int attempt = entry.attempt;
-    tracer.span_to(ue.ul_trace, "UL data over the air", LatencyCategory::Protocol, air_end);
-    sim.schedule_at(air_end, [this, &ue, tb = std::move(entry.tb), attempt]() mutable {
-      const Nanos rx = gnb.compute.radio.rx_delivery_latency(
-          samples_of(gnb.compute.radio, Nanos{100'000}));
-      tracer.span_for(ue.ul_trace, "gNB radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.ul_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           gnb_rx_ul(ue, std::move(tb), attempt);
-                         });
-    });
-    // More lost TBs pending? Chain another opportunity.
-    if (!ue.retx_queue.empty()) retransmit_ul(ue);
   }
 
   void gnb_rx_ul(UeCtx& ue, ByteBuffer tb, int attempt) {
@@ -811,15 +843,8 @@ struct E2eSystem::Impl {
                                                                    const PacketMeta&) {
                            deliver_ul(ue, std::move(plain), attempt);
                          };
-                         // A refused PDU (stale behind a t-Reordering flush,
-                         // duplicate, or integrity-failed) is a terminal loss
-                         // for its packet: count it, or reliability silently
-                         // inflates when recovery outlasts the flush timer.
-                         if (!gnb.uplink(chain).pdcp_rx.receive(std::move(sdu), deliver)) {
-                           ++pdcp_discards;
-                         }
-                         arm_pdcp_reordering(gnb.uplink(chain).pdcp_rx, ue.ul_reorder_armed,
-                                             deliver);
+                         pdcp_receive(gnb.uplink(chain).pdcp_rx, ue.ul_reorder_armed,
+                                      std::move(sdu), deliver);
                        });
         });
   }
@@ -838,22 +863,15 @@ struct E2eSystem::Impl {
     }();
     // A UPF outage may eat the packet after the whole radio journey — the
     // §6 point that reliability is end-to-end, not an air-interface property.
-    if (!faults.empty() && faults.upf_dropped(sim.now())) {
-      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
-      std::int32_t t = seq;
-      if (ue.ul_trace == seq) ue.ul_trace = -1;
-      tracer.abandon(t);
+    const std::optional<Nanos> upf_extra = upf_outage(seq);
+    if (ue.ul_trace == seq) ue.ul_trace = -1;
+    if (!upf_extra) {
+      tracer.abandon(seq);
       return;
-    }
-    Nanos upf_extra{};
-    if (!faults.empty() && (upf_extra = faults.upf_extra_delay(sim.now())) > Nanos::zero()) {
-      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
-      tracer.span_for(seq, "fault: UPF outage delay", LatencyCategory::Protocol, upf_extra);
     }
     tracer.span_for(seq, "core network (UPF + backhaul)", LatencyCategory::Protocol,
                     upf.backhaul() + upf_latency);
-    if (ue.ul_trace == seq) ue.ul_trace = -1;
-    sim.schedule_after(upf.backhaul() + upf_latency + upf_extra,
+    sim.schedule_after(upf.backhaul() + upf_latency + *upf_extra,
                        [this, seq, attempt] { finalize(seq, attempt); });
   }
 
@@ -873,19 +891,13 @@ struct E2eSystem::Impl {
     ByteBuffer pkt = make_payload(r.seq, cfg.payload_bytes);
     // DL packets meet the UPF first: an outage drops or delays them before
     // the radio stack ever sees a byte.
-    if (!faults.empty() && faults.upf_dropped(sim.now())) {
-      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
+    const std::optional<Nanos> upf_extra = upf_outage(ue.dl_trace);
+    if (!upf_extra) {
       tracer.abandon(ue.dl_trace);
       ue.dl_trace = -1;
       return;
     }
-    Nanos upf_extra{};
-    if (!faults.empty() && (upf_extra = faults.upf_extra_delay(sim.now())) > Nanos::zero()) {
-      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
-      tracer.span_for(ue.dl_trace, "fault: UPF outage delay", LatencyCategory::Protocol,
-                      upf_extra);
-    }
-    const Nanos upf_latency = upf.process_downlink(pkt, ue.teid()) + upf_extra;
+    const Nanos upf_latency = upf.process_downlink(pkt, ue.teid()) + *upf_extra;
     tracer.span_for(ue.dl_trace, "core network (UPF + backhaul)", LatencyCategory::Protocol,
                     upf_latency + upf.backhaul());
     sim.schedule_after(upf_latency + upf.backhaul(),
@@ -916,6 +928,18 @@ struct E2eSystem::Impl {
     return sched.dl_window_capacity_bytes(symbols);
   }
 
+  /// No DL assignment inside the planner's horizon (a DL-starved pattern):
+  /// run `retry` one slot later; past the cap, account the head-of-line
+  /// SDU or TB as stranded and stop re-arming.
+  template <typename Retry>
+  void rearm_dl(UeCtx& ue, int stranded_retries, Retry retry) {
+    if (stranded_retries >= kStrandedRetryCap) {
+      count_loss(Loss::Stranded, ue.dl_trace);
+      return;
+    }
+    sim.schedule_at(sim.now() + slot_dur, std::move(retry));
+  }
+
   void schedule_dl_service(UeCtx& ue, Nanos ready, int stranded_retries = 0) {
     const std::size_t tb = cfg.payload_bytes + cfg.dl_tb_slack;
     const auto plan = sched.plan_dl(ue.id, ready, tb);
@@ -937,30 +961,25 @@ struct E2eSystem::Impl {
         tracer.span_to(ue.dl_trace, "URLLC preemption: stolen DL window",
                        LatencyCategory::Protocol, sim.now());
         const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-        sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, 1, /*stolen=*/true); });
+        sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, /*stolen=*/true); });
         return;
       }
     }
     if (!plan) {
-      // DL twin of the stranded-UL fix: no assignment inside the planner's
-      // horizon (a DL-starved pattern). Re-arm one slot later; past the cap,
-      // account the head-of-line SDU as stranded and stop re-arming (the
-      // bytes stay in the RLC queue for a later explicit service call).
-      if (stranded_retries >= kStrandedRetryCap) {
-        drop_stranded(ue.dl_trace);
-        return;
-      }
-      sim.schedule_at(sim.now() + slot_dur, [this, &ue, stranded_retries] {
+      // Past the cap the bytes stay in the RLC queue for a later explicit
+      // service call.
+      rearm_dl(ue, stranded_retries, [this, &ue, stranded_retries] {
         schedule_dl_service(ue, sim.now(), stranded_retries + 1);
       });
       return;
     }
     const DlAssignment a = *plan;
     const Nanos pull_time = std::max(sim.now(), a.tx_start - sched.params().radio_lead);
-    sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a, 1); });
+    sim.schedule_at(pull_time, [this, &ue, a] { serve_dl(ue, a); });
   }
 
-  void serve_dl(UeCtx& ue, const DlAssignment& original, int attempt, bool stolen = false) {
+  /// First transmission of the head-of-line DL data on assignment `original`.
+  void serve_dl(UeCtx& ue, const DlAssignment& original, bool stolen = false) {
     DlAssignment a = original;
     a.tb_bytes = std::min(a.tb_bytes, window_capacity_bytes(a));
     const std::size_t chain = static_cast<std::size_t>(ue.index);
@@ -998,47 +1017,21 @@ struct E2eSystem::Impl {
     const Nanos encode =
         gnb.compute.phy.encode_time(static_cast<int>(a.tb_bytes * 8)) + phy_draw;
     tracer.span_for(ue.dl_trace, "gNB PHY encode", LatencyCategory::Processing, encode);
-    sim.schedule_after(encode, [this, &ue, a, attempt, token, stolen,
-                                tb = std::move(tb)]() mutable {
+    sim.schedule_after(encode, [this, &ue, a, token, stolen, tb = std::move(tb)]() mutable {
       // A stolen (punctured) window skips the radio staging pipeline: the
       // victim's sample buffer already sits at the radio head on time, and
       // the puncture overwrites its resource elements in place at line rate
       // (the TS 38.214 §5.1.4 preemption-indication mechanism). Only the
       // PHY encode must still beat the air deadline.
-      TxPreparation prep{};
+      std::optional<TxPreparation> overwrite;
       if (stolen) {
-        prep.ready_at = sim.now();
-        prep.on_time = sim.now() <= a.tx_start;
-        if (prep.on_time) {
+        overwrite = TxPreparation{sim.now(), sim.now() <= a.tx_start, Nanos{}};
+        if (overwrite->on_time) {
           tracer.span_to(ue.dl_trace, "PHY puncture overwrite (in place)",
                          LatencyCategory::Radio, sim.now());
         }
-      } else {
-        const auto n_samples = samples_of(gnb.compute.radio, a.tx_end - a.tx_start);
-        prep = gnb.compute.radio.prepare_tx(sim.now(), n_samples, a.tx_start);
-        // A bus stall extends the sample transfer: it erodes the §4 margin
-        // and can push the buffer past the air deadline.
-        prep.ready_at += fault_bus_stall(ue.dl_trace, /*trace_span=*/false);
-        prep.on_time = prep.ready_at <= a.tx_start;
       }
-      if (!prep.on_time) {
-        // Samples missed the slot: corrupted signal (§4). Count it and treat
-        // as a lost transmission — retransmit if budget remains.
-        ++owner.radio_deadline_misses_;
-        if (m.radio_miss != nullptr) m.radio_miss->inc();
-        const bool was_punctured = token != 0 && ledger.consume(token);
-        if (attempt < cfg.harq_max_tx) {
-          if (was_punctured) count_punctured_retx();
-          requeue_dl_tb(ue, std::move(tb), prep.ready_at, attempt + 1);
-        } else {
-          drop_tb_harq(ue.dl_trace);  // budget exhausted on deadline misses
-        }
-        return;
-      }
-      tracer.span_to(ue.dl_trace, "gNB radio TX chain", LatencyCategory::Radio,
-                     std::min(prep.ready_at, a.tx_start));
-      tracer.span_to(ue.dl_trace, "wait for DL slot", LatencyCategory::Protocol, a.tx_start);
-      transmit_dl(ue, a, std::move(tb), attempt, token);
+      stage_dl(ue, a, std::move(tb), /*attempt=*/1, token, overwrite);
     });
   }
 
@@ -1048,17 +1041,10 @@ struct E2eSystem::Impl {
     const std::size_t bytes = tb.size();
     const auto plan = sched.plan_dl(ue.id, ready, bytes);
     if (!plan) {
-      // No assignment inside the planner's horizon: re-arm, then drop and
-      // account past the cap (previously the TB vanished uncounted).
-      if (stranded_retries >= kStrandedRetryCap) {
-        drop_stranded(ue.dl_trace);
-        return;
-      }
-      sim.schedule_at(sim.now() + slot_dur,
-                      [this, &ue, tb = std::move(tb), attempt, stranded_retries]() mutable {
-                        requeue_dl_tb(ue, std::move(tb), sim.now(), attempt,
-                                      stranded_retries + 1);
-                      });
+      rearm_dl(ue, stranded_retries,
+               [this, &ue, tb = std::move(tb), attempt, stranded_retries]() mutable {
+                 requeue_dl_tb(ue, std::move(tb), sim.now(), attempt, stranded_retries + 1);
+               });
       return;
     }
     const DlAssignment a = *plan;
@@ -1071,61 +1057,86 @@ struct E2eSystem::Impl {
       const Nanos encode = gnb.compute.phy.encode_time(static_cast<int>(a.tb_bytes * 8));
       tracer.span_for(ue.dl_trace, "gNB PHY encode", LatencyCategory::Processing, encode);
       sim.schedule_after(encode, [this, &ue, a, attempt, token, tb = std::move(tb)]() mutable {
-        const auto n_samples = samples_of(gnb.compute.radio, a.tx_end - a.tx_start);
-        TxPreparation prep = gnb.compute.radio.prepare_tx(sim.now(), n_samples, a.tx_start);
-        prep.ready_at += fault_bus_stall(ue.dl_trace, /*trace_span=*/false);
-        prep.on_time = prep.ready_at <= a.tx_start;
-        if (!prep.on_time) {
-          ++owner.radio_deadline_misses_;
-          if (m.radio_miss != nullptr) m.radio_miss->inc();
-          const bool was_punctured = token != 0 && ledger.consume(token);
-          if (attempt < cfg.harq_max_tx) {
-            if (was_punctured) count_punctured_retx();
-            requeue_dl_tb(ue, std::move(tb), prep.ready_at, attempt + 1);
-          } else {
-            drop_tb_harq(ue.dl_trace);
-          }
-          return;
-        }
-        tracer.span_to(ue.dl_trace, "gNB radio TX chain", LatencyCategory::Radio,
-                       std::min(prep.ready_at, a.tx_start));
-        tracer.span_to(ue.dl_trace, "wait for DL slot", LatencyCategory::Protocol, a.tx_start);
-        transmit_dl(ue, a, std::move(tb), attempt, token);
+        stage_dl(ue, a, std::move(tb), attempt, token);
       });
     });
   }
 
+  /// The one DL staging block, first transmissions and HARQ re-plans alike:
+  /// radio staging against the air deadline (§4's margin), then either a
+  /// deadline miss or the TX chain into transmit_dl. `prep` arrives set only
+  /// for a stolen window's in-place overwrite, which skips the staging.
+  void stage_dl(UeCtx& ue, const DlAssignment& a, ByteBuffer tb, int attempt,
+                std::uint64_t token, std::optional<TxPreparation> prep = std::nullopt) {
+    if (!prep) {
+      prep = gnb.compute.radio.prepare_tx(
+          sim.now(), samples_of(gnb.compute.radio, a.tx_end - a.tx_start), a.tx_start);
+      // A bus stall extends the sample transfer: it erodes the §4 margin
+      // and can push the buffer past the air deadline.
+      prep->ready_at += fault_bus_stall();
+      prep->on_time = prep->ready_at <= a.tx_start;
+    }
+    if (!prep->on_time) {
+      // Samples missed the slot: corrupted signal (§4). Count it and treat
+      // as a lost transmission — retransmit if budget remains.
+      ++owner.radio_deadline_misses_;
+      if (m.radio_miss != nullptr) m.radio_miss->inc();
+      requeue_or_drop_dl(ue, std::move(tb), prep->ready_at, attempt,
+                         token != 0 && ledger.consume(token));
+      return;
+    }
+    tracer.span_to(ue.dl_trace, "gNB radio TX chain", LatencyCategory::Radio,
+                   std::min(prep->ready_at, a.tx_start));
+    tracer.span_to(ue.dl_trace, "wait for DL slot", LatencyCategory::Protocol, a.tx_start);
+    transmit_dl(ue, a, std::move(tb), attempt, token);
+  }
+
+  /// The one NACK-or-drop decision for a failed DL transmission: with HARQ
+  /// budget left the TB is re-planned from `ready` (a `punctured` one
+  /// tallied as a re-entry); with none left it is dropped.
+  void requeue_or_drop_dl(UeCtx& ue, ByteBuffer tb, Nanos ready, int attempt, bool punctured) {
+    if (attempt >= cfg.harq_max_tx) {
+      count_loss(Loss::Harq, ue.dl_trace);
+      return;
+    }
+    if (punctured) count_punctured_retx();
+    requeue_dl_tb(ue, std::move(tb), ready, attempt + 1);
+  }
+
+  /// A DL transmission that failed on the air at `air_end`: lost, or
+  /// `punctured` by a URLLC steal. With budget left the NACK lands after the
+  /// feedback delay; a still-staged `token` settles in the ledger only then,
+  /// so lost *and* punctured resolves as one re-entry.
+  void nack_dl_after_air(UeCtx& ue, ByteBuffer tb, int attempt, std::uint64_t token,
+                         bool punctured, const char* what, Nanos air_end) {
+    if (attempt >= cfg.harq_max_tx) {
+      requeue_or_drop_dl(ue, std::move(tb), sim.now(), attempt,
+                         token != 0 && ledger.consume(token));
+      return;
+    }
+    if (punctured) count_punctured_retx();
+    tracer.span_to(ue.dl_trace, what, LatencyCategory::Protocol, air_end);
+    tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
+                   air_end + cfg.harq_feedback_delay);
+    sim.schedule_at(air_end + cfg.harq_feedback_delay,
+                    [this, &ue, tb = std::move(tb), attempt, token]() mutable {
+                      requeue_or_drop_dl(ue, std::move(tb), sim.now(), attempt,
+                                         token != 0 && ledger.consume(token));
+                    });
+  }
+
   void transmit_dl(UeCtx& ue, const DlAssignment& assigned, ByteBuffer tb, int attempt,
-                   std::uint64_t token = 0) {
+                   std::uint64_t token) {
     // NR-U: the gNB clears CAT4 before the burst; the whole assignment
     // window shifts by the deferral (the caller's cursor already sits at
     // the nominal tx_start, so the deferral span tiles exactly).
     DlAssignment a = assigned;
-    LbtGate::Access access{};
-    if (lbt) {
-      access = lbt_clear(ue.dl_trace, a.tx_start, a.tx_end - a.tx_start);
-      a.tx_start += access.deferral;
-      a.tx_end += access.deferral;
-    }
-    bool lost = channel_lost();
-    if (!lost && access.collided) lost = true;
-    if (lbt) lbt->on_harq_feedback(lost);
-    if (lost) {
-      if (attempt < cfg.harq_max_tx) {
-        tracer.span_to(ue.dl_trace, "DL data over the air (lost)", LatencyCategory::Protocol,
-                       a.tx_end);
-        tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                       a.tx_end + cfg.harq_feedback_delay);
-        sim.schedule_at(a.tx_end + cfg.harq_feedback_delay,
-                        [this, &ue, tb = std::move(tb), attempt, token]() mutable {
-                          // Lost *and* punctured resolves as one re-entry.
-                          if (token != 0 && ledger.consume(token)) count_punctured_retx();
-                          requeue_dl_tb(ue, std::move(tb), sim.now(), attempt + 1);
-                        });
-      } else {
-        if (token != 0) (void)ledger.consume(token);
-        drop_tb_harq(ue.dl_trace);  // budget exhausted
-      }
+    const LbtGate::Access access = lbt_clear(ue.dl_trace, a.tx_start, a.tx_end - a.tx_start);
+    a.tx_start += access.deferral;
+    a.tx_end += access.deferral;
+    if (air_lost(Direction::Downlink, access)) {
+      nack_dl_after_air(ue, std::move(tb), attempt, token, /*punctured=*/false,
+                        "DL data over the air (lost)", a.tx_end);
       return;
     }
     tracer.span_to(ue.dl_trace, "DL data over the air", LatencyCategory::Protocol, a.tx_end);
@@ -1133,28 +1144,14 @@ struct E2eSystem::Impl {
       if (token != 0 && ledger.consume(token)) {
         // A URLLC arrival stole this TB's air window: the transmission
         // behaves exactly like a lost one and re-enters HARQ.
-        if (attempt < cfg.harq_max_tx) {
-          count_punctured_retx();
-          tracer.span_to(ue.dl_trace, "DL TB punctured by URLLC", LatencyCategory::Protocol,
-                         a.tx_end);
-          tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
-                         a.tx_end + cfg.harq_feedback_delay);
-          sim.schedule_at(a.tx_end + cfg.harq_feedback_delay,
-                          [this, &ue, tb = std::move(tb), attempt]() mutable {
-                            requeue_dl_tb(ue, std::move(tb), sim.now(), attempt + 1);
-                          });
-        } else {
-          drop_tb_harq(ue.dl_trace);  // punctured with no budget left
-        }
+        nack_dl_after_air(ue, std::move(tb), attempt, /*token=*/0, /*punctured=*/true,
+                          "DL TB punctured by URLLC", a.tx_end);
         return;
       }
-      const Nanos rx = ue.stack.compute.radio.rx_delivery_latency(
-          samples_of(ue.stack.compute.radio, a.tx_end - a.tx_start));
-      tracer.span_for(ue.dl_trace, "UE radio RX chain", LatencyCategory::Radio, rx);
-      sim.schedule_after(rx + fault_bus_stall(ue.dl_trace, /*trace_span=*/true),
-                         [this, &ue, tb = std::move(tb), attempt]() mutable {
-                           ue_rx_dl(ue, std::move(tb), attempt);
-                         });
+      radio_rx(ue.stack.compute.radio, "UE radio RX chain", ue.dl_trace, a.tx_end - a.tx_start,
+               [this, &ue, tb = std::move(tb), attempt]() mutable {
+                 ue_rx_dl(ue, std::move(tb), attempt);
+               });
     });
   }
 
@@ -1176,11 +1173,8 @@ struct E2eSystem::Impl {
                                   if (ue.dl_trace == seq) ue.dl_trace = -1;
                                   finalize(seq, attempt);
                                 };
-                            if (!ue.stack.downlink().pdcp_rx.receive(std::move(sdu), deliver)) {
-                              ++pdcp_discards;
-                            }
-                            arm_pdcp_reordering(ue.stack.downlink().pdcp_rx,
-                                                ue.dl_reorder_armed, deliver);
+                            pdcp_receive(ue.stack.downlink().pdcp_rx, ue.dl_reorder_armed,
+                                         std::move(sdu), deliver);
                           });
             });
       }
@@ -1223,31 +1217,9 @@ const Tracer& E2eSystem::tracer() const { return impl_->tracer; }
 MetricsRegistry& E2eSystem::metrics() { return impl_->metrics; }
 const MetricsRegistry& E2eSystem::metrics() const { return impl_->metrics; }
 
-void E2eSystem::send_uplink_at(Nanos at, int ue) {
-  if (ue < 0 || static_cast<std::size_t>(ue) >= impl_->ues.size())
-    throw std::out_of_range{"E2eSystem: UE index out of range"};
-  PacketRecord r;
-  r.seq = static_cast<int>(records_.size());
-  r.ue = ue;
-  r.dir = Direction::Uplink;
-  r.created = at;
-  records_.push_back(r);
-  const std::size_t idx = records_.size() - 1;
-  impl_->sim.schedule_at(at, [this, idx] { impl_->start_uplink(idx); });
-}
+void E2eSystem::send_uplink_at(Nanos at, int ue) { impl_->offer(at, ue, Direction::Uplink); }
 
-void E2eSystem::send_downlink_at(Nanos at, int ue) {
-  if (ue < 0 || static_cast<std::size_t>(ue) >= impl_->ues.size())
-    throw std::out_of_range{"E2eSystem: UE index out of range"};
-  PacketRecord r;
-  r.seq = static_cast<int>(records_.size());
-  r.ue = ue;
-  r.dir = Direction::Downlink;
-  r.created = at;
-  records_.push_back(r);
-  const std::size_t idx = records_.size() - 1;
-  impl_->sim.schedule_at(at, [this, idx] { impl_->start_downlink(idx); });
-}
+void E2eSystem::send_downlink_at(Nanos at, int ue) { impl_->offer(at, ue, Direction::Downlink); }
 
 void E2eSystem::run_until(Nanos until) {
   impl_->sim.run_until(until);
@@ -1260,9 +1232,9 @@ Arena& E2eSystem::slot_arena() { return impl_->arena; }
 std::uint64_t E2eSystem::packets_started() const { return impl_->packets_started; }
 std::uint64_t E2eSystem::packets_delivered() const { return impl_->packets_delivered; }
 
-std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->harq_dropped; }
-std::uint64_t E2eSystem::stranded_drops() const { return impl_->stranded_drops; }
-std::uint64_t E2eSystem::pdcp_discards() const { return impl_->pdcp_discards; }
+std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->loss(Impl::Loss::Harq); }
+std::uint64_t E2eSystem::stranded_drops() const { return impl_->loss(Impl::Loss::Stranded); }
+std::uint64_t E2eSystem::pdcp_discards() const { return impl_->loss(Impl::Loss::PdcpDiscard); }
 std::uint64_t E2eSystem::punctured_retx() const { return impl_->punctured_retx; }
 std::uint64_t E2eSystem::crosslink_ul_losses() const { return impl_->xlink_losses; }
 

@@ -93,8 +93,9 @@ class E2eSystem {
   // -- Loss accounting ------------------------------------------------------
   // Every offered packet ends in exactly one bucket: delivered, dropped on
   // HARQ budget exhaustion, dropped stranded (no retransmission opportunity
-  // within the retry cap), or dropped by a UPF outage. Tests assert
-  // `offered == delivered + harq_dropped + stranded + upf_dropped` under
+  // within the retry cap), refused by PDCP, or dropped by a UPF outage.
+  // Tests assert `offered == delivered + harq_dropped + stranded +
+  // pdcp_discards + upf_dropped` (tests/loss_identity.hpp) under
   // 1-packet-per-TB traffic, so silent loss cannot deflate reliability.
 
   /// TBs dropped after exhausting the HARQ transmission budget (UL and DL).

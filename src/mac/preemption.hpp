@@ -6,9 +6,10 @@
 // starts, and a URLLC arrival may *puncture* the earliest eMBB entry whose
 // window it can still make — the URLLC TB takes the victim's air window, the
 // victim re-enters HARQ like a lost transmission. Every puncture is
-// therefore accounted as a HARQ re-entry, never silent loss: the PR-5
-// identity `offered == delivered + harq_dropped + stranded + upf_drops`
-// stays exact, with `punctured_retx` counting the re-entries on the side.
+// therefore accounted as a HARQ re-entry, never silent loss: the identity
+// `offered == delivered + harq_dropped + stranded + pdcp_discards +
+// upf_drops` stays exact, with `punctured_retx` counting the re-entries on
+// the side.
 //
 // Plain deterministic bookkeeping: no RNG, entries expire as the simulation
 // clock passes their windows, lookups scan the (short) live window list.

@@ -284,46 +284,39 @@ MetricsRegistry ShardedEngine::merged_metrics() const {
   return merged;
 }
 
-std::uint64_t ShardedEngine::packets_started() const {
+template <typename Get>
+std::uint64_t ShardedEngine::sum_cells(Get get) const {
   std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().packets_started();
+  for (const auto& c : cells_) n += get(c->system());
   return n;
+}
+
+std::uint64_t ShardedEngine::packets_started() const {
+  return sum_cells([](const E2eSystem& s) { return s.packets_started(); });
 }
 
 std::uint64_t ShardedEngine::packets_delivered() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().packets_delivered();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.packets_delivered(); });
 }
 
 std::uint64_t ShardedEngine::radio_deadline_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().radio_deadline_misses();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.radio_deadline_misses(); });
 }
 
 std::uint64_t ShardedEngine::events_fired() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().simulator().events_fired();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.simulator().events_fired(); });
 }
 
 std::uint64_t ShardedEngine::punctured_retx() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().punctured_retx();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.punctured_retx(); });
 }
 
 std::uint64_t ShardedEngine::crosslink_ul_losses() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().crosslink_ul_losses();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.crosslink_ul_losses(); });
 }
 
 std::uint64_t ShardedEngine::dynamic_upgraded_slots() const {
-  std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->system().dynamic_upgraded_slots();
-  return n;
+  return sum_cells([](const E2eSystem& s) { return s.dynamic_upgraded_slots(); });
 }
 
 LbtGate::Stats ShardedEngine::lbt_stats() const {

@@ -130,6 +130,9 @@ class ShardedEngine {
  private:
   void advance_all(Nanos to, bool filter_idle);
   void exchange_load();
+  /// One per-cell counter summed over cells in fixed order.
+  template <typename Get>
+  [[nodiscard]] std::uint64_t sum_cells(Get get) const;
 
   StackConfig base_;
   Nanos slot_;

@@ -15,10 +15,12 @@
 #include "fault/gilbert_elliott.hpp"
 #include "fault/scenario.hpp"
 #include "sim/sharded.hpp"
+#include "loss_identity.hpp"
 #include "tdd/dynamic_format.hpp"
 
 using namespace u5g;
 using namespace u5g::literals;
+using u5g::test::expect_loss_identity;
 
 namespace {
 
@@ -45,15 +47,6 @@ void send_preemption_rounds(E2eSystem& sys, int rounds) {
     sys.send_downlink_at(base, 1);
     sys.send_downlink_at(base + Nanos{600'000}, 0);
   }
-}
-
-void expect_loss_identity(const E2eSystem& sys, std::uint64_t offered) {
-  std::uint64_t delivered = 0;
-  for (const PacketRecord& r : sys.records()) delivered += r.ok ? 1 : 0;
-  EXPECT_EQ(delivered, sys.packets_delivered());
-  EXPECT_EQ(offered, delivered + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                         sys.fault_counters().upf_drops)
-      << "silent packet loss: some offered packet ended in no bucket";
 }
 
 }  // namespace
@@ -119,6 +112,66 @@ TEST(DynamicTddAccountingTest, UplinkGrantFreeWithPolicyUnderLoss) {
 
   expect_loss_identity(sys, kPackets);
   EXPECT_GT(sys.harq_dropped_tbs(), 0u);
+}
+
+namespace {
+
+/// Every optional loss and access feature on at once: NR-U LBT under
+/// moderate Wi-Fi, dynamic TDD with DL preemption, Gilbert–Elliott burst
+/// loss, a lossy UPF, and a two-transmission HARQ budget.
+StackConfig all_features_on(StackConfig cfg) {
+  cfg.payload_bytes = 236;
+  cfg.harq_max_tx = 2;
+  cfg.lbt.enabled = true;
+  cfg.lbt.wifi_busy_mean = Nanos{60'000};
+  cfg.lbt.wifi_idle_mean = Nanos{240'000};
+  cfg.dynamic_tdd.enabled = true;
+  cfg.dynamic_tdd.preemption = true;
+  cfg.faults = {
+      FaultScenario::burst_loss(GilbertElliott::Params::matched_average(0.1, 6.0, 0.8)),
+      FaultScenario::upf_outage(FaultWindow::always(), 0.1, Nanos::zero())};
+  return cfg;
+}
+
+}  // namespace
+
+TEST(CombinedFeatureAccountingTest, EveryFeatureOnKeepsIdentityExactly) {
+  // The identity must hold for the feature combination, not only for each
+  // feature alone: UL grant-based, UL grant-free, and two-UE DL preemption
+  // rounds, every bucket exercised.
+  constexpr int kPackets = 80;
+  constexpr int kRounds = 60;
+  std::uint64_t delivered = 0;
+  std::uint64_t harq = 0;
+  std::uint64_t upf = 0;
+  std::uint64_t punctured = 0;
+  const auto tally = [&](const E2eSystem& sys) {
+    delivered += sys.packets_delivered();
+    harq += sys.harq_dropped_tbs();
+    upf += sys.fault_counters().upf_drops;
+    punctured += sys.punctured_retx();
+  };
+  for (const std::uint64_t seed : {51u, 52u, 53u}) {
+    for (const bool grant_free : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (grant_free ? " UL-GF" : " UL-GB"));
+      E2eSystem sys(all_features_on(grant_free ? StackConfig::testbed_grant_free(seed)
+                                               : StackConfig::testbed_grant_based(seed)));
+      for (int i = 0; i < kPackets; ++i) sys.send_uplink_at(2_ms * i + Nanos{100'000});
+      sys.run_until(2_ms * kPackets + 2000_ms);
+      expect_loss_identity(sys, kPackets);
+      tally(sys);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " DL preemption");
+    E2eSystem sys(all_features_on(preemption_config(seed)));
+    send_preemption_rounds(sys, kRounds);
+    sys.run_until(4_ms * kRounds + 2000_ms);
+    expect_loss_identity(sys, 2 * kRounds);
+    tally(sys);
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(harq, 0u);
+  EXPECT_GT(upf, 0u);
+  EXPECT_GT(punctured, 0u);
 }
 
 // ===========================================================================

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/e2e_system.hpp"
+#include "loss_identity.hpp"
 #include "phy/lbt.hpp"
 #include "sim/sharded.hpp"
 
@@ -230,10 +231,24 @@ TEST(LbtE2eTest, LossConservationIncludesCollisions) {
   for (int i = 0; i < offered; ++i) sys.send_uplink_at(Nanos{1'000'000 + i * 500'000LL});
   sys.run_until(Nanos{1'000'000 + offered * 500'000LL + 100'000'000LL});
   EXPECT_GT(sys.lbt_stats().hidden_collisions, 0u);
-  std::uint64_t ok = 0;
-  for (const PacketRecord& r : sys.records()) ok += r.ok ? 1 : 0;
-  EXPECT_EQ(offered, static_cast<int>(ok + sys.harq_dropped_tbs() + sys.stranded_drops() +
-                                      sys.pdcp_discards()));
+  test::expect_loss_identity(sys, offered);
+}
+
+TEST(LbtE2eTest, PdcpDiscardsAreCountedAndExported) {
+  // Under moderate Wi-Fi a late HARQ recovery can outlast the PDCP
+  // t-Reordering flush: the recovered PDU arrives stale and PDCP refuses
+  // it. That terminal loss must land in its bucket and in the registry.
+  StackConfig cfg = StackConfig::urllc_design(/*seed=*/9);
+  cfg.lbt = coex(Nanos{60'000}, Nanos{240'000});
+  cfg.trace.enabled = true;
+  cfg.trace.metrics = true;
+  E2eSystem sys(cfg);
+  const int offered = 200;
+  for (int i = 0; i < offered; ++i) sys.send_uplink_at(Nanos{1'000'000 + i * 500'000LL});
+  sys.run_until(Nanos{1'000'000 + offered * 500'000LL + 100'000'000LL});
+  EXPECT_GE(sys.pdcp_discards(), 1u);
+  EXPECT_EQ(sys.metrics().counter("pdcp.discards").value(), sys.pdcp_discards());
+  test::expect_loss_identity(sys, offered);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
 #include "tdd/common_config.hpp"
+#include "tdd/dynamic_format.hpp"
 #include "tdd/opportunity.hpp"
 
 using namespace u5g;
@@ -241,6 +243,41 @@ void BM_WorstCaseSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorstCaseSweep);
+
+// One slot-boundary decision of the dynamic slot-format policy over DM with
+// the sharded stack's knobs (64-slot hold), fed seeded queue states in which
+// one packet per direction is in flight and excess backlog is rare.
+void BM_DynamicDecide(benchmark::State& state) {
+  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
+  DynamicTddConfig knobs;
+  knobs.enabled = true;
+  knobs.preemption = true;
+  knobs.xlink_ul_bler = 0.4;
+  knobs.hold_slots = 64;
+  std::vector<TddQueueState> states(4096);
+  Rng rng(0x7DD);
+  const auto count = [&rng](double p1, double p2) {
+    return static_cast<std::uint32_t>(rng.bernoulli(p1)) +
+           static_cast<std::uint32_t>(rng.bernoulli(p2));
+  };
+  for (TddQueueState& q : states) {
+    q.sr_pending = count(0.3, 0.002);
+    q.ul_retx_tbs = count(0.002, 0.0);
+    q.ul_queued_sdus = count(0.3, 0.002);
+    q.dl_queued_sdus = count(0.3, 0.002);
+    q.dl_inflight_tbs = count(0.3, 0.002);
+  }
+  DynamicFormatPolicy policy(dm, knobs);
+  SlotIndex k = 0;
+  for (auto _ : state) {
+    const DecidedFormat f = policy.decide(k, states[static_cast<std::size_t>(k) % states.size()]);
+    benchmark::DoNotOptimize(f);
+    ++k;
+  }
+  state.counters["upgraded_ratio"] =
+      static_cast<double>(policy.upgraded_slots()) / static_cast<double>(std::max<SlotIndex>(k, 1));
+}
+BENCHMARK(BM_DynamicDecide);
 
 }  // namespace
 

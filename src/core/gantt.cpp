@@ -35,13 +35,20 @@ struct Axis {
 std::string slot_track(const DuplexConfig& cfg, const Axis& ax) {
   const SlotClock clk = cfg.clock();
   std::string row(static_cast<std::size_t>(ax.columns), ' ');
+  // Columns run forward in time: fetch a slot's masks once, on entering it.
+  SlotIndex mask_slot = clk.slot_at(ax.t0) - 1;
+  SlotMasks m;
   for (int c = 0; c < ax.columns; ++c) {
     const Nanos t =
         ax.t0 + (ax.t1 - ax.t0) * c / ax.columns + (ax.t1 - ax.t0) / (2 * ax.columns);
     const SlotIndex slot = clk.slot_at(t);
+    if (slot != mask_slot) {
+      mask_slot = slot;
+      m = cfg.slot_masks(slot);
+    }
     const int sym = clk.symbol_at(t);
-    const bool d = cfg.dl_capable(slot, sym);
-    const bool u = cfg.ul_capable(slot, sym);
+    const bool d = (m.dl >> sym) & 1u;
+    const bool u = (m.ul >> sym) & 1u;
     row[static_cast<std::size_t>(c)] = d && u ? 'X' : d ? 'D' : u ? 'U' : '-';
   }
   // Mark slot boundaries.

@@ -1,114 +1,126 @@
 #include "core/latency_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace u5g {
 
 namespace {
 
-void push_step(Timeline& tl, std::string label, Nanos start, Nanos end, LatencyCategory cat) {
-  if (end > start) tl.steps.push_back(TimelineStep{std::move(label), start, end, cat});
+/// Step sink of a sweep probe: the protocol logic runs, nothing is kept.
+struct NoSteps {};
+
+void push_step(std::vector<TimelineStep>& steps, const char* label, Nanos start, Nanos end,
+               LatencyCategory cat) {
+  if (end > start) steps.push_back(TimelineStep{label, start, end, cat});
 }
 
-Timeline infeasible(Nanos arrival) {
-  Timeline tl;
-  tl.arrival = arrival;
-  tl.completion = arrival;
-  tl.feasible = false;
-  return tl;
-}
+void push_step(NoSteps&, const char*, Nanos, Nanos, LatencyCategory) {}
 
-Timeline trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
-                             const LatencyModelParams& p) {
-  Timeline tl;
-  tl.arrival = arrival;
+// Each trace_* function returns the completion time of a transmission
+// arriving at `arrival` (nullopt when no opportunity exists) and reports
+// its steps to `steps`: a step vector for trace_transmission, NoSteps for
+// the worst-case sweep, so the protocol logic exists once.
 
+template <class Steps>
+std::optional<Nanos> trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
+                                         const LatencyModelParams& p, Steps& steps) {
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY)", arrival,
+  push_step(steps, "UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY)", arrival,
             arrival + p.sender_processing, LatencyCategory::Processing);
-  push_step(tl, "UE radio TX chain", arrival + p.sender_processing, ready, LatencyCategory::Radio);
+  push_step(steps, "UE radio TX chain", arrival + p.sender_processing, ready,
+            LatencyCategory::Radio);
 
   const auto w = next_ul_tx(cfg, ready, p.data_tx_symbols);
-  if (!w) return infeasible(arrival);
-  push_step(tl, "wait for UL opportunity", ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  if (!w) return std::nullopt;
+  push_step(steps, "wait for UL opportunity", ready, w->start, LatencyCategory::Protocol);
+  push_step(steps, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
-  tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP)", rx_done, tl.completion,
+  push_step(steps, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  const Nanos completion = rx_done + p.receiver_processing;
+  push_step(steps, "gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP)", rx_done, completion,
             LatencyCategory::Processing);
-  return tl;
+  return completion;
 }
 
-Timeline trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival,
-                              const LatencyModelParams& p) {
-  Timeline tl;
-  tl.arrival = arrival;
-
+template <class Steps>
+std::optional<Nanos> trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival,
+                                          const LatencyModelParams& p, Steps& steps) {
   const Nanos sr_ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "UE stack APP\xe2\x86\x93", arrival, arrival + p.sender_processing,
+  push_step(steps, "UE stack APP\xe2\x86\x93", arrival, arrival + p.sender_processing,
             LatencyCategory::Processing);
-  push_step(tl, "UE radio TX chain", arrival + p.sender_processing, sr_ready,
+  push_step(steps, "UE radio TX chain", arrival + p.sender_processing, sr_ready,
             LatencyCategory::Radio);
 
   // 1. Scheduling request at the next UL symbol (footnote 2).
   const auto sr = next_ul_tx(cfg, sr_ready, p.sr_symbols);
-  if (!sr) return infeasible(arrival);
-  push_step(tl, "wait for SR opportunity", sr_ready, sr->start, LatencyCategory::Protocol);
-  push_step(tl, "SR over the air", sr->start, sr->end, LatencyCategory::Protocol);
+  if (!sr) return std::nullopt;
+  push_step(steps, "wait for SR opportunity", sr_ready, sr->start, LatencyCategory::Protocol);
+  push_step(steps, "SR over the air", sr->start, sr->end, LatencyCategory::Protocol);
 
   // 2. gNB decodes the SR; the scheduler acts at its next per-granule run.
   const Nanos sr_known = sr->end + p.radio_rx + p.sr_decode;
-  push_step(tl, "gNB SR decode (radio+PHY)", sr->end, sr_known, LatencyCategory::Processing);
+  push_step(steps, "gNB SR decode (radio+PHY)", sr->end, sr_known, LatencyCategory::Processing);
   const Nanos decision = next_scheduler_run(cfg, sr_known);
-  push_step(tl, "wait for scheduler run", sr_known, decision, LatencyCategory::Protocol);
+  push_step(steps, "wait for scheduler run", sr_known, decision, LatencyCategory::Protocol);
 
   // 3. The UL grant rides the next DL control region.
   const auto ctrl = next_dl_control(cfg, decision);
-  if (!ctrl) return infeasible(arrival);
-  push_step(tl, "wait for DL control opportunity", decision, ctrl->start,
+  if (!ctrl) return std::nullopt;
+  push_step(steps, "wait for DL control opportunity", decision, ctrl->start,
             LatencyCategory::Protocol);
-  push_step(tl, "UL grant over the air", ctrl->start, ctrl->end, LatencyCategory::Protocol);
+  push_step(steps, "UL grant over the air", ctrl->start, ctrl->end, LatencyCategory::Protocol);
 
   // 4. UE decodes the grant and transmits at the next UL window.
   const Nanos grant_ready = ctrl->end + p.radio_rx + p.grant_decode + p.radio_tx;
-  push_step(tl, "UE grant decode + prep", ctrl->end, grant_ready, LatencyCategory::Processing);
+  push_step(steps, "UE grant decode + prep", ctrl->end, grant_ready, LatencyCategory::Processing);
   const auto w = next_ul_tx(cfg, grant_ready, p.data_tx_symbols);
-  if (!w) return infeasible(arrival);
-  push_step(tl, "wait for granted UL window", grant_ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  if (!w) return std::nullopt;
+  push_step(steps, "wait for granted UL window", grant_ready, w->start,
+            LatencyCategory::Protocol);
+  push_step(steps, "UL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
-  tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "gNB stack MAC\xe2\x86\x91", rx_done, tl.completion, LatencyCategory::Processing);
-  return tl;
+  push_step(steps, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  const Nanos completion = rx_done + p.receiver_processing;
+  push_step(steps, "gNB stack MAC\xe2\x86\x91", rx_done, completion, LatencyCategory::Processing);
+  return completion;
 }
 
-Timeline trace_downlink(const DuplexConfig& cfg, Nanos arrival, const LatencyModelParams& p) {
-  Timeline tl;
-  tl.arrival = arrival;
-
+template <class Steps>
+std::optional<Nanos> trace_downlink(const DuplexConfig& cfg, Nanos arrival,
+                                    const LatencyModelParams& p, Steps& steps) {
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
-  push_step(tl, "gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC)", arrival,
+  push_step(steps, "gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC)", arrival,
             arrival + p.sender_processing, LatencyCategory::Processing);
-  push_step(tl, "gNB radio TX chain", arrival + p.sender_processing, ready,
+  push_step(steps, "gNB radio TX chain", arrival + p.sender_processing, ready,
             LatencyCategory::Radio);
 
   // Served in the first granule starting at or after readiness; the current
   // granule is already allocated (§5's DL worst-case rationale).
   const auto w = next_dl_data(cfg, ready);
-  if (!w) return infeasible(arrival);
-  push_step(tl, "wait for DL slot", ready, w->start, LatencyCategory::Protocol);
-  push_step(tl, "DL data over the air", w->start, w->end, LatencyCategory::Protocol);
+  if (!w) return std::nullopt;
+  push_step(steps, "wait for DL slot", ready, w->start, LatencyCategory::Protocol);
+  push_step(steps, "DL data over the air", w->start, w->end, LatencyCategory::Protocol);
 
   const Nanos rx_done = w->end + p.radio_rx;
-  push_step(tl, "UE radio RX chain", w->end, rx_done, LatencyCategory::Radio);
-  tl.completion = rx_done + p.receiver_processing;
-  push_step(tl, "UE stack PHY\xe2\x86\x91 (PHY..APP)", rx_done, tl.completion,
+  push_step(steps, "UE radio RX chain", w->end, rx_done, LatencyCategory::Radio);
+  const Nanos completion = rx_done + p.receiver_processing;
+  push_step(steps, "UE stack PHY\xe2\x86\x91 (PHY..APP)", rx_done, completion,
             LatencyCategory::Processing);
-  return tl;
+  return completion;
+}
+
+template <class Steps>
+std::optional<Nanos> trace(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
+                           const LatencyModelParams& p, Steps& steps) {
+  switch (mode) {
+    case AccessMode::GrantFreeUl: return trace_grant_free_ul(cfg, arrival, p, steps);
+    case AccessMode::GrantBasedUl: return trace_grant_based_ul(cfg, arrival, p, steps);
+    case AccessMode::Downlink: return trace_downlink(cfg, arrival, p, steps);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -134,16 +146,34 @@ std::string Timeline::render() const {
 
 Timeline trace_transmission(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
                             const LatencyModelParams& p) {
-  switch (mode) {
-    case AccessMode::GrantFreeUl: return trace_grant_free_ul(cfg, arrival, p);
-    case AccessMode::GrantBasedUl: return trace_grant_based_ul(cfg, arrival, p);
-    case AccessMode::Downlink: return trace_downlink(cfg, arrival, p);
+  Timeline tl;
+  tl.arrival = arrival;
+  const std::optional<Nanos> completion = trace(cfg, mode, arrival, p, tl.steps);
+  if (!completion) {
+    // An infeasible transmission reports no partial steps.
+    tl.steps.clear();
+    tl.completion = arrival;
+    tl.feasible = false;
+    return tl;
   }
-  return infeasible(arrival);
+  tl.completion = *completion;
+  return tl;
+}
+
+void validate_sweep_inputs(const LatencyModelParams& p, int grid_per_symbol) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument{std::string{"worst-case sweep: "} + what + " must be >= 1"};
+    }
+  };
+  require(grid_per_symbol >= 1, "grid_per_symbol");
+  require(p.data_tx_symbols >= 1, "data_tx_symbols");
+  require(p.sr_symbols >= 1, "sr_symbols");
 }
 
 WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                    const LatencyModelParams& p, int grid_per_symbol) {
+  validate_sweep_inputs(p, grid_per_symbol);
   WorstCaseResult r;
   const SlotClock clk = cfg.clock();
   // Anchor the sweep away from t=0 so look-behind arithmetic stays positive.
@@ -152,13 +182,15 @@ WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
 
   double sum = 0.0;
   std::size_t n = 0;
+  NoSteps no_steps;
   auto probe = [&](Nanos offset) {
-    const Timeline tl = trace_transmission(cfg, mode, base + offset, p);
-    if (!tl.feasible) {
+    const Nanos arrival = base + offset;
+    const std::optional<Nanos> completion = trace(cfg, mode, arrival, p, no_steps);
+    if (!completion) {
       r.feasible = false;
       return;
     }
-    const Nanos lat = tl.latency();
+    const Nanos lat = *completion - arrival;
     if (lat > r.worst) {
       r.worst = lat;
       r.worst_arrival_offset = offset;

@@ -93,9 +93,17 @@ struct WorstCaseResult {
   bool feasible = true;
 };
 
+/// Throws std::invalid_argument naming the field when `grid_per_symbol`,
+/// `p.data_tx_symbols` or `p.sr_symbols` is below 1 — values the sweep
+/// would otherwise alias (every grid < 1 probes what grid 1 probes) or
+/// report as a silent "infeasible".
+void validate_sweep_inputs(const LatencyModelParams& p, int grid_per_symbol);
+
 /// Sweeps arrivals over one full period: every symbol boundary, the instant
 /// just after it (+1 ns, the paper's "just after a DL slot starts" worst
-/// case), and `grid_per_symbol` interior points.
+/// case), and `grid_per_symbol` interior points. Each probe runs the same
+/// protocol logic as trace_transmission without recording its steps.
+/// Throws as validate_sweep_inputs does.
 [[nodiscard]] WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                                  const LatencyModelParams& p = {},
                                                  int grid_per_symbol = 4);

@@ -18,6 +18,13 @@ namespace {
 constexpr std::uint64_t kAnalyticTag = 0xA11A'11CA;
 constexpr std::uint64_t kTailTag = 0x7A11'CAFE;
 
+/// Throws std::invalid_argument for a query no sweep may answer; batch APIs
+/// run it over the whole batch before any pool job is submitted.
+void validate(const FeasibilityQuery& q) {
+  if (!q.duplex) throw std::invalid_argument{"FeasibilityQuery: duplex is required"};
+  validate_sweep_inputs(q.model, q.grid_per_symbol);
+}
+
 CanonicalWords analytic_key(const FeasibilityQuery& q) {
   CanonicalWords k;
   k.add(kAnalyticTag);
@@ -110,7 +117,7 @@ FeasibilityService::TailSamples FeasibilityService::run_tail(const SimTailSpec& 
 }
 
 FeasibilityVerdict FeasibilityService::answer(const FeasibilityQuery& q, int sim_threads) {
-  if (!q.duplex) throw std::invalid_argument{"FeasibilityQuery: duplex is required"};
+  validate(q);
   FeasibilityVerdict v;
   v.mode = q.mode;
   v.deadline = q.deadline;
@@ -179,6 +186,7 @@ std::future<FeasibilityVerdict> FeasibilityService::query_async(FeasibilityQuery
 }
 
 std::vector<FeasibilityVerdict> FeasibilityService::query_batch(const QueryBatch& batch) {
+  for (const FeasibilityQuery& q : batch) validate(q);
   std::vector<FeasibilityVerdict> out(batch.size());
   if (batch.empty()) return out;
   if (batch.size() == 1) {
@@ -195,6 +203,7 @@ std::vector<FeasibilityVerdict> FeasibilityService::query_batch(const QueryBatch
 
 void FeasibilityService::query_batch_async(
     QueryBatch batch, std::function<void(std::vector<FeasibilityVerdict>)> done) {
+  for (const FeasibilityQuery& q : batch) validate(q);
   struct BatchState {
     QueryBatch batch;
     std::vector<FeasibilityVerdict> out;

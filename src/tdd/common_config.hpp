@@ -47,8 +47,13 @@ class TddCommonConfig final : public DuplexConfig {
  public:
   TddCommonConfig(Numerology num, TddPattern p1, std::optional<TddPattern> p2 = std::nullopt);
 
-  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const override;
-  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const override;
+  /// Table lookup over the period: the pattern arithmetic runs once per
+  /// period slot at construction and never again.
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex slot) const override {
+    std::int64_t in_period = slot % total_slots_;
+    if (in_period < 0) in_period += total_slots_;
+    return masks_[static_cast<std::size_t>(in_period)];
+  }
   [[nodiscard]] int period_slots() const override { return total_slots_; }
   [[nodiscard]] std::string name() const override { return name_; }
 
@@ -73,20 +78,8 @@ class TddCommonConfig final : public DuplexConfig {
   static TddCommonConfig dddu(Numerology num = kMu1);
 
  private:
-  /// Per-symbol direction of one pattern-local slot.
-  enum class Dir : std::uint8_t { D, U, Guard };
-  [[nodiscard]] Dir dir_in_pattern(const TddPattern& p, int slot_in_pattern, int sym) const;
-
-  /// Table lookup over the period; the opportunity searches call this for
-  /// every candidate symbol (millions of times per scale-out run), so the
-  /// pattern arithmetic runs once per (period slot, symbol) at construction
-  /// and never again.
-  [[nodiscard]] Dir dir(SlotIndex slot, int sym) const {
-    std::int64_t in_period = slot % total_slots_;
-    if (in_period < 0) in_period += total_slots_;
-    return dir_table_[static_cast<std::size_t>(in_period) * kSymbolsPerSlot +
-                      static_cast<std::size_t>(sym)];
-  }
+  /// Masks of one pattern-local slot.
+  [[nodiscard]] SlotMasks masks_in_pattern(const TddPattern& p, int slot_in_pattern) const;
 
   static void validate(const TddPattern& p, Numerology num);
 
@@ -94,7 +87,7 @@ class TddCommonConfig final : public DuplexConfig {
   std::optional<TddPattern> p2_;
   int p1_slots_ = 0;
   int total_slots_ = 0;
-  std::vector<Dir> dir_table_;  ///< period_slots x 14, filled at construction
+  std::vector<SlotMasks> masks_;  ///< one per period slot, filled at construction
   std::string name_;
 };
 

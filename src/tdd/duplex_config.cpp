@@ -6,28 +6,29 @@ std::string DuplexConfig::render_period() const {
   std::string out;
   for (int s = 0; s < period_slots(); ++s) {
     if (s != 0) out += '|';
+    const SlotMasks m = slot_masks(s);
     for (int k = 0; k < kSymbolsPerSlot; ++k) {
-      const bool d = dl_capable(s, k);
-      const bool u = ul_capable(s, k);
+      const bool d = (m.dl >> k) & 1u;
+      const bool u = (m.ul >> k) & 1u;
       out += d && u ? 'X' : d ? 'D' : u ? 'U' : '-';
     }
   }
   return out;
 }
 
-bool DuplexConfig::slot_has_dl(SlotIndex slot) const {
-  for (int k = 0; k < kSymbolsPerSlot; ++k) {
-    if (dl_capable(slot, k)) return true;
-  }
-  return false;
+namespace {
+
+/// Spreads the 14 mask bits to the even bit positions of a 28-bit word
+/// (bit k -> bit 2k).
+constexpr std::uint64_t spread_even(std::uint64_t x) {
+  x = (x | (x << 8)) & 0x00FF00FFu;
+  x = (x | (x << 4)) & 0x0F0F0F0Fu;
+  x = (x | (x << 2)) & 0x33333333u;
+  x = (x | (x << 1)) & 0x55555555u;
+  return x;
 }
 
-bool DuplexConfig::slot_has_ul(SlotIndex slot) const {
-  for (int k = 0; k < kSymbolsPerSlot; ++k) {
-    if (ul_capable(slot, k)) return true;
-  }
-  return false;
-}
+}  // namespace
 
 void DuplexConfig::append_value_words(CanonicalWords& words) const {
   words.add_signed(numerology().mu());
@@ -35,19 +36,21 @@ void DuplexConfig::append_value_words(CanonicalWords& words) const {
   words.add_signed(control_granularity_symbols());
   words.add_signed(control_symbols());
   // The direction map, two bits per symbol packed into words: bit 0 = DL
-  // capability, bit 1 = UL capability, in (slot, symbol) order.
+  // capability, bit 1 = UL capability, in (slot, symbol) order. One slot is
+  // 28 bits, so a slot's pair straddles a word boundary whenever fewer than
+  // 28 bits of the current word remain.
+  constexpr int kSlotBits = 2 * kSymbolsPerSlot;
   std::uint64_t w = 0;
   int bits = 0;
   for (int s = 0; s < period_slots(); ++s) {
-    for (int k = 0; k < kSymbolsPerSlot; ++k) {
-      const std::uint64_t sym = (dl_capable(s, k) ? 1u : 0u) | (ul_capable(s, k) ? 2u : 0u);
-      w |= sym << bits;
-      bits += 2;
-      if (bits == 64) {
-        words.add(w);
-        w = 0;
-        bits = 0;
-      }
+    const SlotMasks m = slot_masks(s);
+    const std::uint64_t pairs = spread_even(m.dl) | (spread_even(m.ul) << 1);
+    w |= pairs << bits;
+    bits += kSlotBits;
+    if (bits >= 64) {
+      words.add(w);
+      bits -= 64;
+      w = pairs >> (kSlotBits - bits);  // bits < 28: the spilled high part
     }
   }
   if (bits > 0) words.add(w);

@@ -2,12 +2,15 @@
 // Duplex configuration abstraction.
 //
 // Everything the paper's latency analysis needs to know about a 5G duplex
-// configuration reduces to two questions at symbol granularity — "can this
-// symbol carry downlink?" and "can this symbol carry uplink?" — plus the
-// granularity at which scheduling/control decisions are made. TDD Common
-// Configuration, Slot Format, Mini-Slot and FDD (§2, Fig 1) all implement
-// this interface; the worst-case engine (src/core) and the MAC scheduler
-// are written against it.
+// configuration reduces to one question per slot — "which of its 14
+// symbols can carry downlink, and which uplink?" — answered as two 14-bit
+// masks, plus the granularity at which scheduling/control decisions are
+// made. Direction decisions are per slot in NR (and in flexible-TDD URLLC
+// scheduling, Esswie & Pedersen, arXiv 1909.11305), so one virtual call per
+// slot is the whole interface; the opportunity searches (tdd/opportunity)
+// work on the masks with bit operations. TDD Common Configuration, Slot
+// Format, Mini-Slot and FDD (§2, Fig 1) all implement it; the worst-case
+// engine (src/core) and the MAC scheduler are written against it.
 
 #include <cstdint>
 #include <memory>
@@ -20,6 +23,19 @@
 
 namespace u5g {
 
+/// Every symbol of a slot (bit s = symbol s).
+inline constexpr std::uint16_t kFullSlotMask =
+    static_cast<std::uint16_t>((1u << kSymbolsPerSlot) - 1u);
+
+/// Direction capability of one slot: bit s of `dl` / `ul` is set when symbol
+/// s can carry downlink / uplink. A symbol in neither mask is a guard (or a
+/// flexible symbol read conservatively); FDD and Mini-Slot set both.
+struct SlotMasks {
+  std::uint16_t dl = 0;
+  std::uint16_t ul = 0;
+  friend constexpr bool operator==(const SlotMasks&, const SlotMasks&) = default;
+};
+
 class DuplexConfig {
  public:
   virtual ~DuplexConfig() = default;
@@ -27,11 +43,17 @@ class DuplexConfig {
   [[nodiscard]] Numerology numerology() const { return num_; }
   [[nodiscard]] SlotClock clock() const { return SlotClock{num_}; }
 
+  /// DL/UL capability masks of slot `slot` (any index, negative too).
+  [[nodiscard]] virtual SlotMasks slot_masks(SlotIndex slot) const = 0;
+
   /// Can symbol `sym` of slot `slot` carry downlink transmissions?
-  /// (FDD: every symbol; TDD: per the pattern; guard symbols: neither.)
-  [[nodiscard]] virtual bool dl_capable(SlotIndex slot, int sym) const = 0;
+  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const {
+    return (slot_masks(slot).dl >> sym) & 1u;
+  }
   /// Can symbol `sym` of slot `slot` carry uplink transmissions?
-  [[nodiscard]] virtual bool ul_capable(SlotIndex slot, int sym) const = 0;
+  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const {
+    return (slot_masks(slot).ul >> sym) & 1u;
+  }
 
   /// Period after which the direction map repeats, in slots (>= 1).
   [[nodiscard]] virtual int period_slots() const = 0;
@@ -54,8 +76,8 @@ class DuplexConfig {
 
   // -- Derived helpers ------------------------------------------------------
 
-  [[nodiscard]] bool slot_has_dl(SlotIndex slot) const;
-  [[nodiscard]] bool slot_has_ul(SlotIndex slot) const;
+  [[nodiscard]] bool slot_has_dl(SlotIndex slot) const { return slot_masks(slot).dl != 0; }
+  [[nodiscard]] bool slot_has_ul(SlotIndex slot) const { return slot_masks(slot).ul != 0; }
   /// Period of the direction map as a duration.
   [[nodiscard]] Nanos period() const {
     return num_.slot_duration() * period_slots();
@@ -64,7 +86,8 @@ class DuplexConfig {
   // -- Value identity --------------------------------------------------------
   // Everything the latency analysis can observe about a duplex configuration
   // is its numerology, scheduling granularity, control overhead, and the
-  // per-symbol direction map over one period. Two configs with identical
+  // per-symbol direction map over one period (read slot by slot from the
+  // masks, packed exactly as a per-symbol walk would). Two configs with identical
   // observables are interchangeable for every worst-case and simulation
   // result, whatever their concrete type or heap address — the canonical
   // identity the feasibility-query cache keys on. (`name()` is

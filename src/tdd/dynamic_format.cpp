@@ -65,38 +65,24 @@ DynamicFormatPolicy::DynamicFormatPolicy(const DuplexConfig& base, const Dynamic
   cfg_.ul_guard_slots = std::max(cfg_.ul_guard_slots, 1);
 }
 
-std::uint16_t DynamicFormatPolicy::base_dl_mask(SlotIndex slot) const {
-  std::uint16_t m = 0;
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    if (base_.dl_capable(slot, i)) m |= static_cast<std::uint16_t>(1u << i);
-  }
-  return m;
-}
-
-std::uint16_t DynamicFormatPolicy::base_ul_mask(SlotIndex slot) const {
-  std::uint16_t m = 0;
-  for (int i = 0; i < kSymbolsPerSlot; ++i) {
-    if (base_.ul_capable(slot, i)) m |= static_cast<std::uint16_t>(1u << i);
-  }
-  return m;
-}
-
 DecidedFormat DynamicFormatPolicy::decide(SlotIndex k, const TddQueueState& q) {
   const SlotIndex target = k + cfg_.guard_slots;
   if (ul_demand(q)) ul_hold_until_ = std::max(ul_hold_until_, target + cfg_.hold_slots);
   if (dl_demand(q)) dl_hold_until_ = std::max(dl_hold_until_, target + cfg_.hold_slots);
 
   DecidedFormat f;
-  if (target < ul_hold_until_) {
-    f.added_ul = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_ul_mask(target));
-  }
-  if (target < dl_hold_until_) {
+  const bool ul_held = target < ul_hold_until_;
+  const bool dl_held = target < dl_hold_until_;
+  // One base-mask read per decision, and only when something is held.
+  const SlotMasks base = ul_held || dl_held ? base_.slot_masks(target) : SlotMasks{};
+  if (ul_held) f.added_ul = static_cast<std::uint16_t>(kFullSlotMask & ~base.ul);
+  if (dl_held) {
     // The starvation guard: after ul_guard_slots consecutive DL-upgraded
     // slots one clean slot goes out, whatever the demand says.
     if (dl_run_ >= cfg_.ul_guard_slots) {
       dl_run_ = 0;
     } else {
-      f.added_dl = static_cast<std::uint16_t>(DecidedFormat::kAllSymbols & ~base_dl_mask(target));
+      f.added_dl = static_cast<std::uint16_t>(kFullSlotMask & ~base.dl);
       ++dl_run_;
     }
   } else {
@@ -126,14 +112,12 @@ DecidedFormat DynamicDuplexConfig::committed(SlotIndex slot) const {
   return f;
 }
 
-bool DynamicDuplexConfig::dl_capable(SlotIndex slot, int sym) const {
-  if (base_->dl_capable(slot, sym)) return true;
-  return (committed(slot).added_dl >> sym) & 1u;
-}
-
-bool DynamicDuplexConfig::ul_capable(SlotIndex slot, int sym) const {
-  if (base_->ul_capable(slot, sym)) return true;
-  return (committed(slot).added_ul >> sym) & 1u;
+SlotMasks DynamicDuplexConfig::slot_masks(SlotIndex slot) const {
+  SlotMasks m = base_->slot_masks(slot);
+  const DecidedFormat f = committed(slot);
+  m.dl = static_cast<std::uint16_t>(m.dl | f.added_dl);
+  m.ul = static_cast<std::uint16_t>(m.ul | f.added_ul);
+  return m;
 }
 
 }  // namespace u5g

@@ -16,8 +16,9 @@ class FddConfig final : public DuplexConfig {
  public:
   explicit FddConfig(Numerology num) : DuplexConfig(num) {}
 
-  [[nodiscard]] bool dl_capable(SlotIndex, int) const override { return true; }
-  [[nodiscard]] bool ul_capable(SlotIndex, int) const override { return true; }
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex) const override {
+    return {kFullSlotMask, kFullSlotMask};
+  }
   [[nodiscard]] int period_slots() const override { return 1; }
   [[nodiscard]] std::string name() const override { return "FDD"; }
 

@@ -25,8 +25,9 @@ class MiniSlotConfig final : public DuplexConfig {
       throw std::invalid_argument{"MiniSlotConfig: mini-slot length must be 2, 4 or 7 symbols"};
   }
 
-  [[nodiscard]] bool dl_capable(SlotIndex, int) const override { return true; }
-  [[nodiscard]] bool ul_capable(SlotIndex, int) const override { return true; }
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex) const override {
+    return {kFullSlotMask, kFullSlotMask};
+  }
   [[nodiscard]] int period_slots() const override { return 1; }
   [[nodiscard]] int control_granularity_symbols() const override { return len_; }
   [[nodiscard]] int control_symbols() const override { return 1; }

@@ -96,21 +96,22 @@ SlotFormatConfig::SlotFormatConfig(Numerology num, std::vector<int> format_indic
     : DuplexConfig(num), indices_(std::move(format_indices)) {
   if (indices_.empty()) throw std::invalid_argument{"SlotFormatConfig: empty format sequence"};
   formats_.reserve(indices_.size());
-  for (int idx : indices_) formats_.push_back(&slot_format(idx));
+  masks_.reserve(indices_.size());
+  for (int idx : indices_) {
+    const SlotFormat& f = slot_format(idx);
+    formats_.push_back(&f);
+    SlotMasks m;
+    for (int i = 0; i < kSymbolsPerSlot; ++i) {
+      const SymbolKind k = f.symbols[static_cast<std::size_t>(i)];
+      if (k == SymbolKind::Downlink) m.dl |= static_cast<std::uint16_t>(1u << i);
+      if (k == SymbolKind::Uplink) m.ul |= static_cast<std::uint16_t>(1u << i);
+    }
+    masks_.push_back(m);
+  }
 }
 
 const SlotFormat& SlotFormatConfig::format_of_slot(SlotIndex slot) const {
-  std::int64_t i = slot % static_cast<std::int64_t>(formats_.size());
-  if (i < 0) i += static_cast<std::int64_t>(formats_.size());
-  return *formats_[static_cast<std::size_t>(i)];
-}
-
-bool SlotFormatConfig::dl_capable(SlotIndex slot, int sym) const {
-  return format_of_slot(slot).symbols[static_cast<std::size_t>(sym)] == SymbolKind::Downlink;
-}
-
-bool SlotFormatConfig::ul_capable(SlotIndex slot, int sym) const {
-  return format_of_slot(slot).symbols[static_cast<std::size_t>(sym)] == SymbolKind::Uplink;
+  return *formats_[period_index(slot)];
 }
 
 std::string SlotFormatConfig::name() const {

@@ -46,16 +46,24 @@ class SlotFormatConfig final : public DuplexConfig {
  public:
   SlotFormatConfig(Numerology num, std::vector<int> format_indices);
 
-  [[nodiscard]] bool dl_capable(SlotIndex slot, int sym) const override;
-  [[nodiscard]] bool ul_capable(SlotIndex slot, int sym) const override;
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex slot) const override {
+    return masks_[period_index(slot)];
+  }
   [[nodiscard]] int period_slots() const override { return static_cast<int>(formats_.size()); }
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const SlotFormat& format_of_slot(SlotIndex slot) const;
 
  private:
+  [[nodiscard]] std::size_t period_index(SlotIndex slot) const {
+    std::int64_t i = slot % static_cast<std::int64_t>(formats_.size());
+    if (i < 0) i += static_cast<std::int64_t>(formats_.size());
+    return static_cast<std::size_t>(i);
+  }
+
   std::vector<int> indices_;
   std::vector<const SlotFormat*> formats_;
+  std::vector<SlotMasks> masks_;  ///< masks of formats_[i], precomputed
 };
 
 }  // namespace u5g

@@ -274,11 +274,10 @@ class UlEraDuplex final : public DuplexConfig {
  public:
   UlEraDuplex(TddCommonConfig inner, SlotIndex last_ul_slot)
       : DuplexConfig(inner.numerology()), inner_(std::move(inner)), last_(last_ul_slot) {}
-  [[nodiscard]] bool dl_capable(SlotIndex s, int sym) const override {
-    return inner_.dl_capable(s, sym);
-  }
-  [[nodiscard]] bool ul_capable(SlotIndex s, int sym) const override {
-    return s <= last_ && inner_.ul_capable(s, sym);
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex s) const override {
+    SlotMasks m = inner_.slot_masks(s);
+    if (s > last_) m.ul = 0;
+    return m;
   }
   [[nodiscard]] int period_slots() const override { return inner_.period_slots(); }
   [[nodiscard]] std::string name() const override { return "ul-era"; }

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/latency_model.hpp"
+#include "duplex_kinds.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
@@ -246,6 +248,111 @@ TEST(WorstCaseTest, LongerDataTransmissionsRaiseLatency) {
   four.data_tx_symbols = 4;
   EXPECT_LT(analyze_worst_case(dm, AccessMode::GrantFreeUl, one).worst,
             analyze_worst_case(dm, AccessMode::GrantFreeUl, four).worst);
+}
+
+// ---------------------------------------------------------------------------
+// The step-free sweep equals a sweep over recorded timelines
+
+/// The sweep as a reader would write it: trace_transmission per probe, the
+/// probe set and the accumulation exactly as analyze_worst_case documents.
+WorstCaseResult reference_sweep(const DuplexConfig& cfg, AccessMode mode,
+                                const LatencyModelParams& p, int grid) {
+  WorstCaseResult r;
+  const SlotClock clk = cfg.clock();
+  const Nanos base = cfg.period() * 8;
+  const Nanos sym = clk.symbol_duration();
+  double sum = 0.0;
+  std::size_t n = 0;
+  auto probe = [&](Nanos offset) {
+    const Timeline tl = trace_transmission(cfg, mode, base + offset, p);
+    if (!tl.feasible) {
+      r.feasible = false;
+      return;
+    }
+    if (tl.latency() > r.worst) {
+      r.worst = tl.latency();
+      r.worst_arrival_offset = offset;
+    }
+    r.best = std::min(r.best, tl.latency());
+    sum += static_cast<double>(tl.latency().count());
+    ++n;
+  };
+  for (int slot = 0; slot < cfg.period_slots() && r.feasible; ++slot) {
+    for (int s = 0; s < kSymbolsPerSlot && r.feasible; ++s) {
+      const Nanos boundary = clk.slot_duration() * slot + sym * s;
+      probe(boundary);
+      probe(boundary + Nanos{1});
+      for (int g = 1; g < grid; ++g) probe(boundary + sym * g / grid);
+    }
+  }
+  if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))};
+  if (r.best == Nanos::max()) r.best = Nanos::zero();
+  return r;
+}
+
+/// Processing and radio costs of a software stack, every knob non-zero.
+LatencyModelParams software_stack_params() {
+  LatencyModelParams p;
+  p.data_tx_symbols = 3;
+  p.sr_symbols = 2;
+  p.sender_processing = 61_us;
+  p.receiver_processing = 43_us;
+  p.grant_decode = 37_us;
+  p.sr_decode = 19_us;
+  p.radio_tx = 29_us;
+  p.radio_rx = 31_us;
+  return p;
+}
+
+TEST(WorstCaseSweepTest, StepFreeSweepEqualsRecordedTimelines) {
+  const LatencyModelParams params[] = {LatencyModelParams{}, software_stack_params()};
+  for (const test::DuplexKind& kind : test::duplex_kinds()) {
+    for (AccessMode mode :
+         {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl, AccessMode::Downlink}) {
+      for (int grid : {1, 3, 8}) {
+        for (const LatencyModelParams& p : params) {
+          const WorstCaseResult got = analyze_worst_case(*kind.cfg, mode, p, grid);
+          const WorstCaseResult want = reference_sweep(*kind.cfg, mode, p, grid);
+          const std::string where = kind.label + " / " + to_string(mode) + " / grid " +
+                                    std::to_string(grid) + " / tx " +
+                                    std::to_string(p.data_tx_symbols);
+          EXPECT_EQ(got.worst, want.worst) << where;
+          EXPECT_EQ(got.best, want.best) << where;
+          EXPECT_EQ(got.mean, want.mean) << where;
+          EXPECT_EQ(got.worst_arrival_offset, want.worst_arrival_offset) << where;
+          EXPECT_EQ(got.feasible, want.feasible) << where;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sweep inputs below 1 are rejected, naming the field
+
+void expect_rejected(const LatencyModelParams& p, int grid, const std::string& field) {
+  const TddCommonConfig dm = TddCommonConfig::dm(kMu2);
+  try {
+    (void)analyze_worst_case(dm, AccessMode::GrantBasedUl, p, grid);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(WorstCaseSweepTest, RejectsInputsBelowOne) {
+  for (int grid : {0, -5}) expect_rejected({}, grid, "grid_per_symbol");
+  LatencyModelParams no_data;
+  no_data.data_tx_symbols = 0;
+  expect_rejected(no_data, 4, "data_tx_symbols");
+  LatencyModelParams no_sr;
+  no_sr.sr_symbols = -1;
+  expect_rejected(no_sr, 4, "sr_symbols");
+  // The smallest valid inputs still sweep.
+  LatencyModelParams one;
+  one.data_tx_symbols = 1;
+  EXPECT_TRUE(
+      analyze_worst_case(TddCommonConfig::dm(kMu2), AccessMode::GrantBasedUl, one, 1).feasible);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "common/rng.hpp"
+#include "duplex_kinds.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
@@ -211,6 +214,178 @@ TEST(NextDlDataTest, ExactBoundaryUsable) {
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSlot);
   EXPECT_EQ(w->end, kSlot * 2);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the mask searches vs the symbol-by-symbol walks they replaced
+
+namespace ref {
+
+struct SymbolCursor {
+  SlotIndex slot;
+  int sym;
+  void advance() {
+    if (++sym == kSymbolsPerSlot) {
+      sym = 0;
+      ++slot;
+    }
+  }
+};
+
+Nanos symbol_start(const SlotClock& clk, SymbolCursor c) { return clk.symbol_start(c.slot, c.sym); }
+
+Nanos symbol_end(const SlotClock& clk, SymbolCursor c) {
+  return c.sym == kSymbolsPerSlot - 1 ? clk.slot_end(c.slot)
+                                      : clk.symbol_start(c.slot, c.sym + 1);
+}
+
+SymbolCursor first_symbol_at_or_after(const SlotClock& clk, Nanos t) {
+  SymbolCursor c{clk.slot_at(t), clk.symbol_at(t)};
+  if (symbol_start(clk, c) < t) c.advance();
+  return c;
+}
+
+std::optional<TxWindow> next_ul_tx(const DuplexConfig& cfg, Nanos t, int n_symbols,
+                                   Nanos search_limit) {
+  if (n_symbols <= 0) return std::nullopt;
+  const SlotClock clk = cfg.clock();
+  SymbolCursor c = first_symbol_at_or_after(clk, t);
+  const Nanos deadline = t + search_limit;
+  int run = 0;
+  SymbolCursor run_start = c;
+  while (symbol_start(clk, c) < deadline) {
+    if (cfg.ul_capable(c.slot, c.sym)) {
+      if (run == 0) run_start = c;
+      if (++run == n_symbols) return TxWindow{symbol_start(clk, run_start), symbol_end(clk, c)};
+    } else {
+      run = 0;
+    }
+    c.advance();
+  }
+  return std::nullopt;
+}
+
+std::optional<TxWindow> next_dl_control(const DuplexConfig& cfg, Nanos t, Nanos search_limit) {
+  const SlotClock clk = cfg.clock();
+  const Nanos deadline = t + search_limit;
+  Nanos b = next_granule_boundary(cfg, t);
+  while (b < deadline) {
+    const SlotIndex slot = clk.slot_at(b);
+    const int sym = clk.symbol_at(b);
+    if (cfg.dl_capable(slot, sym)) {
+      const int last = std::min(sym + cfg.control_symbols(), kSymbolsPerSlot) - 1;
+      return TxWindow{b, symbol_end(clk, SymbolCursor{slot, last})};
+    }
+    b = next_granule_boundary(cfg, b + Nanos{1});
+  }
+  return std::nullopt;
+}
+
+std::optional<TxWindow> next_dl_data(const DuplexConfig& cfg, Nanos t, Nanos search_limit) {
+  const SlotClock clk = cfg.clock();
+  const Nanos deadline = t + search_limit;
+  const int g = cfg.control_granularity_symbols();
+  Nanos b = next_granule_boundary(cfg, t);
+  while (b < deadline) {
+    const SlotIndex slot = clk.slot_at(b);
+    const int first_sym = clk.symbol_at(b);
+    const int granule_end_sym = std::min(first_sym + g, kSymbolsPerSlot);
+    int run = 0;
+    while (first_sym + run < granule_end_sym && cfg.dl_capable(slot, first_sym + run)) ++run;
+    if (run > cfg.control_symbols()) {
+      return TxWindow{b, symbol_end(clk, SymbolCursor{slot, first_sym + run - 1})};
+    }
+    b = next_granule_boundary(cfg, b + Nanos{1});
+  }
+  return std::nullopt;
+}
+
+}  // namespace ref
+
+::testing::AssertionResult same_window(const std::optional<TxWindow>& got,
+                                       const std::optional<TxWindow>& want) {
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure()
+           << (got ? "got a window, reference nullopt" : "got nullopt, reference a window");
+  }
+  if (got && (got->start != want->start || got->end != want->end)) {
+    return ::testing::AssertionFailure()
+           << "got [" << got->start.count() << ", " << got->end.count() << ") want ["
+           << want->start.count() << ", " << want->end.count() << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(OpportunityDifferentialTest, MaskSearchesMatchSymbolWalk) {
+  constexpr int kDraws = 10'000;
+  for (const test::DuplexKind& kind : test::duplex_kinds()) {
+    const DuplexConfig& cfg = *kind.cfg;
+    const SlotClock clk = cfg.clock();
+    const Nanos sym = clk.symbol_duration();
+    // Query times span slots [-2, 62): look-behind, the dynamic overlay's
+    // committed range [3, 60) and the uncommitted slots on either side.
+    const std::int64_t span = clk.slot_duration().count() * 64;
+    Rng rng(0x0FF0 + kind.label.size());
+    int windows = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      Nanos t{static_cast<std::int64_t>(rng.uniform_int(static_cast<std::uint64_t>(span))) -
+              2 * clk.slot_duration().count()};
+      switch (rng.uniform_int(3)) {  // exact symbol boundaries and just after
+        case 0: t = clk.symbol_start(clk.slot_at(t), clk.symbol_at(t)); break;
+        case 1: t = clk.symbol_start(clk.slot_at(t), clk.symbol_at(t)) + 1_ns; break;
+        default: break;
+      }
+      // Mostly 1-14 symbols; some runs longer than a slot, and invalid 0/-1.
+      const int n = rng.bernoulli(0.9) ? 1 + static_cast<int>(rng.uniform_int(14))
+                                       : static_cast<int>(rng.uniform_int(42)) - 1;
+      const Nanos limit = rng.bernoulli(0.01)
+                              ? Nanos{40'000'000}
+                              : sym * static_cast<std::int64_t>(rng.uniform_int(14 * 12));
+      const auto ul = next_ul_tx(cfg, t, n, limit);
+      windows += ul ? 1 : 0;
+      ASSERT_TRUE(same_window(ul, ref::next_ul_tx(cfg, t, n, limit)))
+          << kind.label << " next_ul_tx t=" << t.count() << " n=" << n
+          << " limit=" << limit.count();
+      ASSERT_TRUE(same_window(next_dl_control(cfg, t, limit), ref::next_dl_control(cfg, t, limit)))
+          << kind.label << " next_dl_control t=" << t.count() << " limit=" << limit.count();
+      ASSERT_TRUE(same_window(next_dl_data(cfg, t, limit), ref::next_dl_data(cfg, t, limit)))
+          << kind.label << " next_dl_data t=" << t.count() << " limit=" << limit.count();
+    }
+    // Configs with any UL symbol must have exercised the found-window path.
+    if (cfg.render_period().find_first_of("UX") != std::string::npos) {
+      EXPECT_GT(windows, 0) << kind.label;
+    }
+  }
+}
+
+TEST(OpportunityDifferentialTest, RunsCrossSlotBoundariesOnTheOverlay) {
+  // DM alternates a full-DL slot (even) with DDDD--UUUUUUUU (odd). The
+  // overlay gives slot 10 UL on symbols 11-13 and slot 12 UL on symbols 0-4.
+  // Slot 10's 3-symbol tail is cut off by slot 11's DL head; slot 11's
+  // 8-symbol UL tail runs on into slot 12's head, so runs of 9-13 symbols
+  // cross the boundary and none of 14 exists.
+  auto dyn = std::make_shared<DynamicDuplexConfig>(
+      std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2)));
+  DecidedFormat f10;
+  f10.added_ul = 0b11100000000000;
+  dyn->commit(10, f10);
+  dyn->commit(11, {});
+  DecidedFormat f12;
+  f12.added_ul = 0b11111;
+  dyn->commit(12, f12);
+  const Nanos t = kSlot * 10;
+  for (int n = 1; n <= 14; ++n) {
+    EXPECT_TRUE(same_window(next_ul_tx(*dyn, t, n, 5_ms), ref::next_ul_tx(*dyn, t, n, 5_ms)))
+        << "n=" << n;
+  }
+  const auto w = next_ul_tx(*dyn, t, 12, 5_ms);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->start, kSlot * 11 + kSym * 6);
+  EXPECT_EQ(w->end, kSlot * 12 + kSym * 4);
+  const auto w13 = next_ul_tx(*dyn, t, 13, 5_ms);
+  ASSERT_TRUE(w13.has_value());
+  EXPECT_EQ(w13->start, kSlot * 11 + kSym * 6);
+  EXPECT_EQ(w13->end, kSlot * 12 + kSym * 5);
 }
 
 }  // namespace

@@ -408,5 +408,46 @@ TEST(FeasibilityServiceTest, StatsCountQueries) {
   EXPECT_DOUBLE_EQ(s.analytic_hit_rate(), 0.5);
 }
 
+TEST(FeasibilityServiceTest, RejectsSweepInputsBelowOne) {
+  // Grids 0 and -5 would sweep exactly what grid 1 sweeps under distinct
+  // cache keys, and a zero-symbol transmission would come back "infeasible".
+  FeasibilityService service;
+  const auto cfg = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  std::vector<FeasibilityQuery> bad;
+  for (int grid : {0, -5}) {
+    FeasibilityQuery q = FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl);
+    q.grid_per_symbol = grid;
+    bad.push_back(q);
+  }
+  LatencyModelParams no_data;
+  no_data.data_tx_symbols = 0;
+  bad.push_back(FeasibilityQuery::analytic(cfg, AccessMode::Downlink, kUrllcOneWayDeadline,
+                                           no_data));
+  LatencyModelParams no_sr;
+  no_sr.sr_symbols = 0;
+  bad.push_back(FeasibilityQuery::analytic(cfg, AccessMode::GrantBasedUl, kUrllcOneWayDeadline,
+                                           no_sr));
+  const char* fields[] = {"grid_per_symbol", "grid_per_symbol", "data_tx_symbols", "sr_symbols"};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    try {
+      (void)service.query(bad[i]);
+      ADD_FAILURE() << fields[i] << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(fields[i]), std::string::npos) << e.what();
+    }
+  }
+  // A batch with one bad query among good ones is refused as a whole before
+  // any job runs: nothing is answered, and the callback never fires.
+  QueryBatch batch(6, FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl));
+  batch[4] = bad[2];
+  EXPECT_THROW((void)service.query_batch(batch), std::invalid_argument);
+  bool called = false;
+  EXPECT_THROW(service.query_batch_async(batch, [&called](auto) { called = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(called);
+  EXPECT_EQ(service.stats().queries, 0u);
+  EXPECT_EQ(service.stats().analytic_misses, 0u);
+}
+
 }  // namespace
 }  // namespace u5g

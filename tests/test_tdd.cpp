@@ -1,8 +1,11 @@
 // Unit tests for src/tdd: Common Configuration validation and direction
-// maps, Slot Format table, Mini-Slot, FDD, and the render helpers.
+// maps, Slot Format table, Mini-Slot, FDD, the render helpers, and the
+// per-slot masks every config answers with.
 
 #include <gtest/gtest.h>
 
+#include "common/hashing.hpp"
+#include "duplex_kinds.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
@@ -230,6 +233,121 @@ TEST(FddTest, FullDuplexEverywhere) {
 TEST(FddTest, BandRestriction) {
   EXPECT_TRUE(FddConfig::allowed_in_band(*find_band("n1")));
   EXPECT_FALSE(FddConfig::allowed_in_band(band_n78()));
+}
+
+// ---------------------------------------------------------------------------
+// Slot masks vs a per-symbol reference
+
+/// Direction of one symbol of a pattern-local slot, straight from the
+/// TddPattern fields: full DL slots, the DL head of the slot after them, the
+/// UL tail of the slot before the UL slots, full UL slots; guard otherwise.
+char pattern_symbol(const TddPattern& p, Numerology num, int slot, int sym) {
+  const int slots = p.slots(num);
+  const bool mixed = p.dl_symbols > 0 || p.ul_symbols > 0;
+  if (slot < p.dl_slots) return 'D';
+  if (slot >= slots - p.ul_slots) return 'U';
+  if (mixed && slot == p.dl_slots && sym < p.dl_symbols) return 'D';
+  if (mixed && slot == slots - p.ul_slots - 1 && sym >= kSymbolsPerSlot - p.ul_symbols) return 'U';
+  return '-';
+}
+
+/// Reference masks of `slot`, built symbol by symbol from each config's own
+/// definition rather than from slot_masks().
+SlotMasks reference_masks(const DuplexConfig& cfg, SlotIndex slot) {
+  const std::int64_t period = cfg.period_slots();
+  const int in_period = static_cast<int>(((slot % period) + period) % period);
+  SlotMasks m;
+  const auto set = [&m](int sym, bool dl, bool ul) {
+    if (dl) m.dl = static_cast<std::uint16_t>(m.dl | (1u << sym));
+    if (ul) m.ul = static_cast<std::uint16_t>(m.ul | (1u << sym));
+  };
+  if (const auto* dyn = dynamic_cast<const DynamicDuplexConfig*>(&cfg)) {
+    m = reference_masks(dyn->base(), slot);
+    const DecidedFormat f = dyn->committed(slot);
+    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+      set(sym, (f.added_dl >> sym) & 1u, (f.added_ul >> sym) & 1u);
+    }
+  } else if (const auto* tdd = dynamic_cast<const TddCommonConfig*>(&cfg)) {
+    const int p1_slots = tdd->pattern1().slots(cfg.numerology());
+    const bool in_p1 = in_period < p1_slots;
+    const TddPattern& p = in_p1 ? tdd->pattern1() : *tdd->pattern2();
+    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+      const char d = pattern_symbol(p, cfg.numerology(), in_p1 ? in_period : in_period - p1_slots,
+                                    sym);
+      set(sym, d == 'D', d == 'U');
+    }
+  } else if (const auto* sf = dynamic_cast<const SlotFormatConfig*>(&cfg)) {
+    const SlotFormat& f = slot_format(sf->format_of_slot(in_period).index);
+    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+      const SymbolKind k = f.symbols[static_cast<std::size_t>(sym)];
+      set(sym, k == SymbolKind::Downlink, k == SymbolKind::Uplink);
+    }
+  } else {
+    // FDD and Mini-Slot: every symbol can carry either direction.
+    for (int sym = 0; sym < kSymbolsPerSlot; ++sym) set(sym, true, true);
+  }
+  return m;
+}
+
+TEST(SlotMasksTest, SlotMasksMatchDirectionMap) {
+  for (const test::DuplexKind& kind : test::duplex_kinds()) {
+    const DuplexConfig& cfg = *kind.cfg;
+    const int period = cfg.period_slots();
+    for (SlotIndex s = 0; s <= 5 * period; ++s) {
+      const SlotMasks want = reference_masks(cfg, s);
+      const SlotMasks got = cfg.slot_masks(s);
+      EXPECT_EQ(got.dl, want.dl) << kind.label << " slot " << s;
+      EXPECT_EQ(got.ul, want.ul) << kind.label << " slot " << s;
+      EXPECT_EQ(cfg.slot_has_dl(s), want.dl != 0) << kind.label << " slot " << s;
+      EXPECT_EQ(cfg.slot_has_ul(s), want.ul != 0) << kind.label << " slot " << s;
+      for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+        EXPECT_EQ(cfg.dl_capable(s, sym), ((want.dl >> sym) & 1u) != 0) << kind.label;
+        EXPECT_EQ(cfg.ul_capable(s, sym), ((want.ul >> sym) & 1u) != 0) << kind.label;
+      }
+    }
+    // Negative slots wrap like positive ones.
+    EXPECT_EQ(cfg.slot_masks(-1), reference_masks(cfg, -1)) << kind.label;
+    EXPECT_EQ(cfg.slot_masks(-period - 3), reference_masks(cfg, -period - 3)) << kind.label;
+
+    // The value identity is the per-symbol packing: 2 bits per symbol (bit 0
+    // DL, bit 1 UL), slot-major, 64 bits per word, a partial last word.
+    CanonicalWords want;
+    want.add_signed(cfg.numerology().mu());
+    want.add_signed(period);
+    want.add_signed(cfg.control_granularity_symbols());
+    want.add_signed(cfg.control_symbols());
+    std::uint64_t w = 0;
+    int bits = 0;
+    for (int s = 0; s < period; ++s) {
+      const SlotMasks m = reference_masks(cfg, s);
+      for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+        const unsigned pair = ((m.dl >> sym) & 1u) | (((m.ul >> sym) & 1u) << 1);
+        w |= static_cast<std::uint64_t>(pair) << bits;
+        bits += 2;
+        if (bits == 64) {
+          want.add(w);
+          w = 0;
+          bits = 0;
+        }
+      }
+    }
+    if (bits > 0) want.add(w);
+    CanonicalWords got;
+    cfg.append_value_words(got);
+    EXPECT_EQ(got.words(), want.words()) << kind.label;
+
+    std::string render;
+    for (int s = 0; s < period; ++s) {
+      if (s != 0) render += '|';
+      const SlotMasks m = reference_masks(cfg, s);
+      for (int sym = 0; sym < kSymbolsPerSlot; ++sym) {
+        const bool d = (m.dl >> sym) & 1u;
+        const bool u = (m.ul >> sym) & 1u;
+        render += d && u ? 'X' : d ? 'D' : u ? 'U' : '-';
+      }
+    }
+    EXPECT_EQ(cfg.render_period(), render) << kind.label;
+  }
 }
 
 }  // namespace

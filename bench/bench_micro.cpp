@@ -235,14 +235,28 @@ void BM_NextUlTx(benchmark::State& state) {
 }
 BENCHMARK(BM_NextUlTx);
 
+// The analytic sweep on each of its three run paths (first stage: SR
+// window, UL data window, DL data window), over DM µ2 and serve_mix's
+// longest period, DDDU µ1. Args: {mode 0..2 = GB/GF/DL, config 0..1}.
 void BM_WorstCaseSweep(benchmark::State& state) {
-  const TddCommonConfig cfg = TddCommonConfig::dm(kMu2);
+  constexpr AccessMode kModes[] = {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
+                                   AccessMode::Downlink};
+  constexpr const char* kModeNames[] = {"GB", "GF", "DL"};
+  const AccessMode mode = kModes[state.range(0)];
+  const TddCommonConfig cfg =
+      state.range(1) == 0 ? TddCommonConfig::dm(kMu2) : TddCommonConfig::dddu(kMu1);
+  state.SetLabel(std::string{kModeNames[state.range(0)]} +
+                 (state.range(1) == 0 ? " DM mu2" : " DDDU mu1"));
   for (auto _ : state) {
-    const auto wc = analyze_worst_case(cfg, AccessMode::GrantBasedUl, {});
+    const auto wc = analyze_worst_case(cfg, mode, {});
     benchmark::DoNotOptimize(wc);
   }
 }
-BENCHMARK(BM_WorstCaseSweep);
+BENCHMARK(BM_WorstCaseSweep)->Apply([](benchmark::internal::Benchmark* b) {
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int cfg = 0; cfg < 2; ++cfg) b->Args({mode, cfg});
+  }
+});
 
 // One slot-boundary decision of the dynamic slot-format policy over DM with
 // the sharded stack's knobs (64-slot hold), fed seeded queue states in which

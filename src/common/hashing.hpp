@@ -33,6 +33,8 @@ namespace u5g {
 
 class CanonicalWords {
  public:
+  /// Room for `n` words in all, so the adds that follow do not reallocate.
+  void reserve(std::size_t n) { words_.reserve(n); }
   void add(std::uint64_t w) { words_.push_back(w); }
   void add_signed(std::int64_t v) { words_.push_back(static_cast<std::uint64_t>(v)); }
   void add_bool(bool b) { words_.push_back(b ? 1 : 0); }

@@ -10,6 +10,7 @@
 // independent of the thread count.
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -118,16 +119,26 @@ class SampleSet {
   /// Quantile q in [0,1], nearest-rank (q=1 is the maximum).
   [[nodiscard]] double quantile(double q) {
     sort();
+    return sorted_quantile(q);
+  }
+
+  /// quantile() of a set already sorted by sort(): no copy and no sort, so
+  /// concurrent readers of one shared sorted set may all call it.
+  [[nodiscard]] double sorted_quantile(double q) const {
+    assert(sorted_);
     if (xs_.empty()) return 0.0;
     const auto r = static_cast<std::size_t>(q * static_cast<double>(xs_.size() - 1) + 0.5);
     return xs_[std::min(r, xs_.size() - 1)];
   }
 
   /// Fraction of samples <= threshold: the paper's "reliability at deadline".
+  /// A sorted set counts by binary search, which gives the same count.
   [[nodiscard]] double fraction_at_or_below(double threshold) const {
     if (xs_.empty()) return 0.0;
-    std::size_t k = 0;
-    for (double x : xs_) k += (x <= threshold) ? 1 : 0;
+    const auto k = static_cast<std::size_t>(
+        sorted_ ? std::upper_bound(xs_.begin(), xs_.end(), threshold) - xs_.begin()
+                : std::count_if(xs_.begin(), xs_.end(),
+                                [threshold](double x) { return x <= threshold; }));
     return static_cast<double>(k) / static_cast<double>(xs_.size());
   }
 
@@ -157,10 +168,13 @@ class SampleSet {
     sorted_ = false;
   }
 
- private:
+  /// Sort the samples in place (a no-op when already sorted); samples()
+  /// then lists them in ascending order.
   void sort() {
     if (!sorted_) { std::sort(xs_.begin(), xs_.end()); sorted_ = true; }
   }
+
+ private:
   std::vector<double> xs_;
   bool sorted_ = true;
 };

@@ -17,13 +17,31 @@ void push_step(std::vector<TimelineStep>& steps, const char* label, Nanos start,
 
 void push_step(NoSteps&, const char*, Nanos, Nanos, LatencyCategory) {}
 
-// Each trace_* function returns the completion time of a transmission
-// arriving at `arrival` (nullopt when no opportunity exists) and reports
-// its steps to `steps`: a step vector for trace_transmission, NoSteps for
-// the worst-case sweep, so the protocol logic exists once.
+/// What one trace yields: the completion time, and the hold time — the
+/// latest arrival that still catches the same first-stage opportunity (the
+/// UL data window for grant-free, the SR window for grant-based, the DL
+/// data window for DL). "First opportunity at or after t" cannot change
+/// while t stays at or before that opportunity's start, also under the
+/// search-limit cut-off (the distance only shrinks as t grows), and
+/// everything downstream depends only on that stage's result: so every
+/// arrival in [arrival, hold] completes at `completion`.
+struct Traced {
+  Nanos completion;
+  Nanos hold;
+};
+
+/// The hold time of a first-stage opportunity starting at `start`.
+Nanos hold_until(Nanos start, const LatencyModelParams& p) {
+  return start - (p.sender_processing + p.radio_tx);
+}
+
+// Each trace_* function traces a transmission arriving at `arrival`
+// (nullopt when no opportunity exists) and reports its steps to `steps`: a
+// step vector for trace_transmission, NoSteps for the worst-case sweep, so
+// the protocol logic exists once.
 
 template <class Steps>
-std::optional<Nanos> trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
+std::optional<Traced> trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
                                          const LatencyModelParams& p, Steps& steps) {
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
   push_step(steps, "UE stack APP\xe2\x86\x93 (SDAP/PDCP/RLC/MAC/PHY)", arrival,
@@ -41,11 +59,11 @@ std::optional<Nanos> trace_grant_free_ul(const DuplexConfig& cfg, Nanos arrival,
   const Nanos completion = rx_done + p.receiver_processing;
   push_step(steps, "gNB stack MAC\xe2\x86\x91 (PHY/MAC/RLC/PDCP/SDAP)", rx_done, completion,
             LatencyCategory::Processing);
-  return completion;
+  return Traced{completion, hold_until(w->start, p)};
 }
 
 template <class Steps>
-std::optional<Nanos> trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival,
+std::optional<Traced> trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival,
                                           const LatencyModelParams& p, Steps& steps) {
   const Nanos sr_ready = arrival + p.sender_processing + p.radio_tx;
   push_step(steps, "UE stack APP\xe2\x86\x93", arrival, arrival + p.sender_processing,
@@ -85,11 +103,11 @@ std::optional<Nanos> trace_grant_based_ul(const DuplexConfig& cfg, Nanos arrival
   push_step(steps, "gNB radio RX chain", w->end, rx_done, LatencyCategory::Radio);
   const Nanos completion = rx_done + p.receiver_processing;
   push_step(steps, "gNB stack MAC\xe2\x86\x91", rx_done, completion, LatencyCategory::Processing);
-  return completion;
+  return Traced{completion, hold_until(sr->start, p)};
 }
 
 template <class Steps>
-std::optional<Nanos> trace_downlink(const DuplexConfig& cfg, Nanos arrival,
+std::optional<Traced> trace_downlink(const DuplexConfig& cfg, Nanos arrival,
                                     const LatencyModelParams& p, Steps& steps) {
   const Nanos ready = arrival + p.sender_processing + p.radio_tx;
   push_step(steps, "gNB stack SDAP\xe2\x86\x93 (SDAP/PDCP/RLC)", arrival,
@@ -109,11 +127,11 @@ std::optional<Nanos> trace_downlink(const DuplexConfig& cfg, Nanos arrival,
   const Nanos completion = rx_done + p.receiver_processing;
   push_step(steps, "UE stack PHY\xe2\x86\x91 (PHY..APP)", rx_done, completion,
             LatencyCategory::Processing);
-  return completion;
+  return Traced{completion, hold_until(w->start, p)};
 }
 
 template <class Steps>
-std::optional<Nanos> trace(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
+std::optional<Traced> trace(const DuplexConfig& cfg, AccessMode mode, Nanos arrival,
                            const LatencyModelParams& p, Steps& steps) {
   switch (mode) {
     case AccessMode::GrantFreeUl: return trace_grant_free_ul(cfg, arrival, p, steps);
@@ -148,15 +166,15 @@ Timeline trace_transmission(const DuplexConfig& cfg, AccessMode mode, Nanos arri
                             const LatencyModelParams& p) {
   Timeline tl;
   tl.arrival = arrival;
-  const std::optional<Nanos> completion = trace(cfg, mode, arrival, p, tl.steps);
-  if (!completion) {
+  const std::optional<Traced> traced = trace(cfg, mode, arrival, p, tl.steps);
+  if (!traced) {
     // An infeasible transmission reports no partial steps.
     tl.steps.clear();
     tl.completion = arrival;
     tl.feasible = false;
     return tl;
   }
-  tl.completion = *completion;
+  tl.completion = traced->completion;
   return tl;
 }
 
@@ -183,14 +201,23 @@ WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
   double sum = 0.0;
   std::size_t n = 0;
   NoSteps no_steps;
+  // The current run: every arrival in [run_from, run_to] completes at
+  // run_done (see Traced). A probe outside it — past its hold time, or
+  // below its start — is traced and opens the next run. Returns false at
+  // the first infeasible probe, which ends the sweep.
+  Nanos run_from{1};
+  Nanos run_to{0};
+  Nanos run_done{};
   auto probe = [&](Nanos offset) {
     const Nanos arrival = base + offset;
-    const std::optional<Nanos> completion = trace(cfg, mode, arrival, p, no_steps);
-    if (!completion) {
-      r.feasible = false;
-      return;
+    if (arrival < run_from || arrival > run_to) {
+      const std::optional<Traced> t = trace(cfg, mode, arrival, p, no_steps);
+      if (!t) return false;
+      run_from = arrival;
+      run_to = t->hold;
+      run_done = t->completion;
     }
-    const Nanos lat = *completion - arrival;
+    const Nanos lat = run_done - arrival;
     if (lat > r.worst) {
       r.worst = lat;
       r.worst_arrival_offset = offset;
@@ -198,23 +225,29 @@ WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
     r.best = std::min(r.best, lat);
     sum += static_cast<double>(lat.count());
     ++n;
+    return true;
   };
 
   // Probe every symbol boundary of every slot in the period (computed the
   // same way SlotClock lays them out, so probes align with true boundaries),
   // the instant just after each ("just after a DL slot starts" is the
-  // paper's worst case), and a uniform grid between boundaries.
-  for (int slot = 0; slot < cfg.period_slots() && r.feasible; ++slot) {
-    const Nanos slot_off = clk.slot_duration() * slot;
-    for (int s = 0; s < kSymbolsPerSlot && r.feasible; ++s) {
-      const Nanos boundary = slot_off + sym * s;
-      probe(boundary);
-      probe(boundary + Nanos{1});
-      for (int g = 1; g < grid_per_symbol; ++g) {
-        probe(boundary + sym * g / grid_per_symbol);
+  // paper's worst case), and a uniform grid between boundaries. A grid
+  // finer than 1 ns rounds its first points down to the boundary, below the
+  // +1 ns probe: the run check takes any order.
+  auto sweep = [&] {
+    for (int slot = 0; slot < cfg.period_slots(); ++slot) {
+      const Nanos slot_off = clk.slot_duration() * slot;
+      for (int s = 0; s < kSymbolsPerSlot; ++s) {
+        const Nanos boundary = slot_off + sym * s;
+        if (!probe(boundary) || !probe(boundary + Nanos{1})) return false;
+        for (int g = 1; g < grid_per_symbol; ++g) {
+          if (!probe(boundary + sym * g / grid_per_symbol)) return false;
+        }
       }
     }
-  }
+    return true;
+  };
+  r.feasible = sweep();
   if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))};
   if (r.best == Nanos::max()) r.best = Nanos::zero();
   return r;

@@ -85,6 +85,9 @@ struct Timeline {
                                           const LatencyModelParams& p = {});
 
 /// Worst/best case over arrival offsets across one configuration period.
+/// An infeasible result (some probe finds no opportunity) ends the sweep at
+/// that probe: its worst/best/mean/offset cover exactly the probes before
+/// the first infeasible one, in probe order (all zero when it is the first).
 struct WorstCaseResult {
   Nanos worst{};
   Nanos best{Nanos::max()};
@@ -101,8 +104,11 @@ void validate_sweep_inputs(const LatencyModelParams& p, int grid_per_symbol);
 
 /// Sweeps arrivals over one full period: every symbol boundary, the instant
 /// just after it (+1 ns, the paper's "just after a DL slot starts" worst
-/// case), and `grid_per_symbol` interior points. Each probe runs the same
-/// protocol logic as trace_transmission without recording its steps.
+/// case), and `grid_per_symbol` interior points. Each probe's latency is
+/// what trace_transmission reports for it: a probe is traced (the same
+/// protocol logic, no steps recorded) only when it falls outside the run of
+/// arrivals that catch the previous trace's first-stage opportunity, and
+/// is otherwise read off that run (DESIGN.md §4.4). Allocation-free.
 /// Throws as validate_sweep_inputs does.
 [[nodiscard]] WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,
                                                  const LatencyModelParams& p = {},

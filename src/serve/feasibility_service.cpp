@@ -1,6 +1,7 @@
 #include "serve/feasibility_service.hpp"
 
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -25,8 +26,13 @@ void validate(const FeasibilityQuery& q) {
   validate_sweep_inputs(q.model, q.grid_per_symbol);
 }
 
+/// Words analytic_key appends besides the duplex's value words (an
+/// undercount would only cost a reallocation).
+constexpr std::size_t kAnalyticKeyWords = 11;
+
 CanonicalWords analytic_key(const FeasibilityQuery& q) {
   CanonicalWords k;
+  k.reserve(kAnalyticKeyWords + q.duplex->value_word_count());
   k.add(kAnalyticTag);
   q.duplex->append_value_words(k);
   k.add_signed(static_cast<int>(q.mode));
@@ -54,6 +60,21 @@ CanonicalWords tail_key(const SimTailSpec& spec, AccessMode mode) {
   // Deliberately NOT keyed: quantile and deadline. The cache stores the
   // merged sample set; any (quantile, deadline) reading derives from it.
   return k;
+}
+
+/// `q`'s quantile and deadline reading of a sorted sample set: no copy, no
+/// sort.
+SimTailResult read_tail(const SampleSet& sorted_us, std::size_t offered,
+                        const FeasibilityQuery& q) {
+  SimTailResult tr;
+  tr.quantile = q.tail->quantile;
+  tr.quantile_latency_us = sorted_us.sorted_quantile(q.tail->quantile);
+  tr.reliability = evaluate_reliability(sorted_us, offered, q.deadline);
+  // Loss-aware verdict: the fraction of *offered* packets delivered within
+  // the deadline must reach the requested quantile (lost packets count
+  // against it, exactly as §6 counts reliability).
+  tr.meets_deadline = tr.reliability.fraction_within >= tr.quantile;
+  return tr;
 }
 
 }  // namespace
@@ -113,6 +134,7 @@ FeasibilityService::TailSamples FeasibilityService::run_tail(const SimTailSpec& 
     merged.latency_us.merge(part.latency_us);
     merged.offered += part.offered;
   }
+  merged.latency_us.sort();
   return merged;
 }
 
@@ -141,34 +163,27 @@ FeasibilityVerdict FeasibilityService::answer(const FeasibilityQuery& q, int sim
   v.analytic_meets = v.worst_case.feasible && v.worst_case.worst <= q.deadline;
   v.meets_deadline = v.analytic_meets;
 
-  // 2. Sim-tail fallback, when asked for.
+  // 2. Sim-tail fallback, when asked for. The cached sample set is sorted,
+  // so a hit reads its quantile and deadline fraction in place, under the
+  // lock (the pointer dies at the next insert).
   if (q.tail) {
     const CanonicalWords tkey = tail_key(*q.tail, q.mode);
-    TailSamples samples;
-    bool hit = false;
+    std::optional<SimTailResult> tr;
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (const TailSamples* cached = tail_.find(tkey)) {
-        samples = *cached;  // copy out: quantile() sorts, and the pointer
-        hit = true;         // dies at the next insert anyway
+        tr = read_tail(cached->latency_us, cached->offered, q);
       }
     }
-    if (!hit) {
-      samples = run_tail(*q.tail, q.mode, sim_threads);
+    v.tail_cache_hit = tr.has_value();
+    if (!tr) {
+      TailSamples samples = run_tail(*q.tail, q.mode, sim_threads);
+      tr = read_tail(samples.latency_us, samples.offered, q);
       std::lock_guard<std::mutex> lk(mu_);
-      tail_.insert(tkey, samples);
+      tail_.insert(tkey, std::move(samples));
     }
-    SimTailResult tr;
-    tr.quantile = q.tail->quantile;
-    tr.quantile_latency_us = samples.latency_us.quantile(q.tail->quantile);
-    tr.reliability = evaluate_reliability(samples.latency_us, samples.offered, q.deadline);
-    // Loss-aware verdict: the fraction of *offered* packets delivered within
-    // the deadline must reach the requested quantile (lost packets count
-    // against it, exactly as §6 counts reliability).
-    tr.meets_deadline = tr.reliability.fraction_within >= tr.quantile;
-    v.tail_cache_hit = hit;
-    v.meets_deadline = v.analytic_meets && tr.meets_deadline;
-    v.tail = tr;
+    v.meets_deadline = v.analytic_meets && tr->meets_deadline;
+    v.tail = *tr;
   }
   return v;
 }

@@ -14,8 +14,9 @@
 //      PR-1 runner, merged in replication order (bitwise thread-count
 //      independent), cached in an LRU keyed on
 //      `StackConfig::canonical_words()` + mode + replication plan. The
-//      cache stores the merged *sample set*, so one sim run answers any
-//      (deadline, quantile) follow-up for the same stack.
+//      cache stores the merged *sample set*, sorted once, so one sim run
+//      answers any (deadline, quantile) follow-up for the same stack with a
+//      lookup and a binary search.
 //   3. **Batch + async APIs** — whole sweeps submit as one `QueryBatch`
 //      (one pool job per query, results in request order); single queries
 //      can complete through a `std::future` or a callback.
@@ -125,7 +126,7 @@ class FeasibilityService {
   /// Merged fixed-seed replication output — the tail cache value. Stored
   /// once per (stack, mode, plan); quantile/deadline are applied per query.
   struct TailSamples {
-    SampleSet latency_us;     ///< delivered one-way latencies, merge order
+    SampleSet latency_us;     ///< delivered one-way latencies, sorted
     std::size_t offered = 0;  ///< replications x packets
   };
 

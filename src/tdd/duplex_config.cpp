@@ -56,6 +56,11 @@ void DuplexConfig::append_value_words(CanonicalWords& words) const {
   if (bits > 0) words.add(w);
 }
 
+std::size_t DuplexConfig::value_word_count() const {
+  constexpr std::size_t kSlotBits = 2 * kSymbolsPerSlot;
+  return 4 + (kSlotBits * static_cast<std::size_t>(period_slots()) + 63) / 64;
+}
+
 std::uint64_t DuplexConfig::value_hash() const {
   CanonicalWords words;
   append_value_words(words);

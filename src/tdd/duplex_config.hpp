@@ -12,6 +12,7 @@
 // Format, Mini-Slot and FDD (§2, Fig 1) all implement it; the worst-case
 // engine (src/core) and the MAC scheduler are written against it.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -95,6 +96,9 @@ class DuplexConfig {
 
   /// Append this config's observable value identity to `words`.
   void append_value_words(CanonicalWords& words) const;
+  /// How many words append_value_words appends (4 scalars plus the
+  /// direction map at 28 bits a slot), for sizing a key up front.
+  [[nodiscard]] std::size_t value_word_count() const;
   /// Stable 64-bit fold of the value identity.
   [[nodiscard]] std::uint64_t value_hash() const;
 

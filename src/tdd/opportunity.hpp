@@ -33,14 +33,18 @@ struct TxWindow {
 
 /// Earliest window of `n_symbols` consecutive uplink-capable symbols whose
 /// start is at or after `t`. Consecutive across slot boundaries counts
-/// (symbol 13 of slot s abuts symbol 0 of slot s+1). Returns nullopt if no
-/// such window begins within `search_limit` of `t`.
+/// (symbol 13 of slot s abuts symbol 0 of slot s+1). The search cuts off on
+/// the window's *last* symbol: returns nullopt if the earliest window's last
+/// symbol does not start before `t + search_limit`, even when the window
+/// itself begins before it.
 [[nodiscard]] std::optional<TxWindow> next_ul_tx(const DuplexConfig& cfg, Nanos t, int n_symbols,
                                                  Nanos search_limit = Nanos{40'000'000});
 
 /// Earliest control transmission at or after `t`: the first granule boundary
 /// >= t whose opening symbol is downlink-capable. The window covers the
 /// control symbols (PDCCH); `end` is when a UE has received the control.
+/// Returns nullopt if that boundary does not lie before `t + search_limit`
+/// (the cut-off is on the window's start).
 [[nodiscard]] std::optional<TxWindow> next_dl_control(const DuplexConfig& cfg, Nanos t,
                                                       Nanos search_limit = Nanos{40'000'000});
 
@@ -48,7 +52,9 @@ struct TxWindow {
 /// >= t whose granule opens with a downlink-capable run longer than the
 /// control overhead. `start` is the granule boundary (when the scheduling
 /// decision takes effect); `end` is the end of that downlink run — the
-/// worst-case completion of data served in the granule.
+/// worst-case completion of data served in the granule. Returns nullopt if
+/// that boundary does not lie before `t + search_limit` (the cut-off is on
+/// the window's start).
 [[nodiscard]] std::optional<TxWindow> next_dl_data(const DuplexConfig& cfg, Nanos t,
                                                    Nanos search_limit = Nanos{40'000'000});
 

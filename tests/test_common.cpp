@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -292,6 +293,25 @@ TEST(SampleSetTest, FractionAtOrBelow) {
   EXPECT_DOUBLE_EQ(s.fraction_at_or_below(5.0), 0.5);
   EXPECT_DOUBLE_EQ(s.fraction_at_or_below(0.0), 0.0);
   EXPECT_DOUBLE_EQ(s.fraction_at_or_below(100.0), 1.0);
+}
+
+TEST(SampleSetTest, SortedSetReadsEqualUnsortedReads) {
+  // A sorted set counts fraction_at_or_below by binary search and answers
+  // sorted_quantile without sorting: the same numbers as the linear count
+  // and quantile() over the unsorted insertion order, ties included.
+  SampleSet unsorted;
+  Rng rng(0x5A3);
+  for (int i = 0; i < 257; ++i) unsorted.add(static_cast<double>(rng.uniform_int(40)));
+  SampleSet sorted = unsorted;
+  sorted.sort();
+  ASSERT_TRUE(std::is_sorted(sorted.samples().begin(), sorted.samples().end()));
+  for (double t = -1.0; t <= 41.0; t += 0.5) {
+    EXPECT_EQ(sorted.fraction_at_or_below(t), unsorted.fraction_at_or_below(t)) << t;
+  }
+  for (double q : {0.0, 0.1, 0.5, 0.99, 0.999, 1.0}) {
+    SampleSet copy = unsorted;
+    EXPECT_EQ(sorted.sorted_quantile(q), copy.quantile(q)) << q;
+  }
 }
 
 TEST(SampleSetTest, EmptyIsSafe) {

@@ -4,15 +4,41 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <stdexcept>
 
+#include "common/rng.hpp"
 #include "core/latency_model.hpp"
 #include "duplex_kinds.hpp"
 #include "tdd/common_config.hpp"
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
 #include "tdd/slot_format.hpp"
+
+// Global allocation counter: analyze_worst_case claims zero heap
+// allocations, and that claim is tested below. Counting replacement of the
+// global operator new/delete; the tests read it between statements of one
+// thread, so the atomic is plenty. Out of line, so that GCC does not pair
+// an inlined malloc with a free and warn -Wmismatched-new-delete.
+namespace {
+std::atomic<std::size_t> g_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace u5g {
 namespace {
@@ -253,8 +279,15 @@ TEST(WorstCaseTest, LongerDataTransmissionsRaiseLatency) {
 // ---------------------------------------------------------------------------
 // The step-free sweep equals a sweep over recorded timelines
 
+/// Probe i of the symbol starting at `boundary`, in sweep order: -1 is the
+/// boundary, 0 the instant 1 ns after it, i >= 1 grid point i.
+Nanos probe_offset(Nanos boundary, Nanos sym, int i, int grid) {
+  return i < 0 ? boundary : i == 0 ? boundary + Nanos{1} : boundary + sym * i / grid;
+}
+
 /// The sweep as a reader would write it: trace_transmission per probe, the
-/// probe set and the accumulation exactly as analyze_worst_case documents.
+/// probe set and the accumulation exactly as analyze_worst_case documents,
+/// ending at the first infeasible probe.
 WorstCaseResult reference_sweep(const DuplexConfig& cfg, AccessMode mode,
                                 const LatencyModelParams& p, int grid) {
   WorstCaseResult r;
@@ -277,12 +310,12 @@ WorstCaseResult reference_sweep(const DuplexConfig& cfg, AccessMode mode,
     sum += static_cast<double>(tl.latency().count());
     ++n;
   };
-  for (int slot = 0; slot < cfg.period_slots() && r.feasible; ++slot) {
-    for (int s = 0; s < kSymbolsPerSlot && r.feasible; ++s) {
+  for (int slot = 0; slot < cfg.period_slots(); ++slot) {
+    for (int s = 0; s < kSymbolsPerSlot; ++s) {
       const Nanos boundary = clk.slot_duration() * slot + sym * s;
-      probe(boundary);
-      probe(boundary + Nanos{1});
-      for (int g = 1; g < grid; ++g) probe(boundary + sym * g / grid);
+      for (int i = -1; i < grid && r.feasible; ++i) {
+        probe(probe_offset(boundary, sym, i, grid));
+      }
     }
   }
   if (n > 0) r.mean = Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))};
@@ -304,24 +337,160 @@ LatencyModelParams software_stack_params() {
   return p;
 }
 
+/// Random model knobs whose leads reach several periods of `period`, so the
+/// sweep's runs of equal first-stage opportunity cross period ends.
+LatencyModelParams random_params(Rng& rng, Nanos period) {
+  const auto lead = [&] {
+    return Nanos{static_cast<std::int64_t>(rng.uniform() * 3.0 *
+                                           static_cast<double>(period.count()))};
+  };
+  LatencyModelParams p;
+  p.data_tx_symbols = 1 + static_cast<int>(rng.uniform_int(6));
+  p.sr_symbols = 1 + static_cast<int>(rng.uniform_int(3));
+  p.sender_processing = lead();
+  p.receiver_processing = lead();
+  p.grant_decode = lead();
+  p.sr_decode = lead();
+  p.radio_tx = lead();
+  p.radio_rx = lead();
+  return p;
+}
+
+constexpr AccessMode kModes[] = {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl,
+                                 AccessMode::Downlink};
+
+void expect_same_sweep(const DuplexConfig& cfg, AccessMode mode, const LatencyModelParams& p,
+                       int grid, const std::string& label) {
+  const WorstCaseResult got = analyze_worst_case(cfg, mode, p, grid);
+  const WorstCaseResult want = reference_sweep(cfg, mode, p, grid);
+  const std::string where = label + " / " + to_string(mode) + " / grid " +
+                            std::to_string(grid) + " / tx " + std::to_string(p.data_tx_symbols) +
+                            " / lead " + std::to_string(p.sender_processing.count());
+  EXPECT_EQ(got.worst, want.worst) << where;
+  EXPECT_EQ(got.best, want.best) << where;
+  EXPECT_EQ(got.mean, want.mean) << where;
+  EXPECT_EQ(got.worst_arrival_offset, want.worst_arrival_offset) << where;
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+}
+
 TEST(WorstCaseSweepTest, StepFreeSweepEqualsRecordedTimelines) {
   const LatencyModelParams params[] = {LatencyModelParams{}, software_stack_params()};
   for (const test::DuplexKind& kind : test::duplex_kinds()) {
-    for (AccessMode mode :
-         {AccessMode::GrantBasedUl, AccessMode::GrantFreeUl, AccessMode::Downlink}) {
+    for (AccessMode mode : kModes) {
       for (int grid : {1, 3, 8}) {
         for (const LatencyModelParams& p : params) {
-          const WorstCaseResult got = analyze_worst_case(*kind.cfg, mode, p, grid);
-          const WorstCaseResult want = reference_sweep(*kind.cfg, mode, p, grid);
-          const std::string where = kind.label + " / " + to_string(mode) + " / grid " +
-                                    std::to_string(grid) + " / tx " +
-                                    std::to_string(p.data_tx_symbols);
-          EXPECT_EQ(got.worst, want.worst) << where;
-          EXPECT_EQ(got.best, want.best) << where;
-          EXPECT_EQ(got.mean, want.mean) << where;
-          EXPECT_EQ(got.worst_arrival_offset, want.worst_arrival_offset) << where;
-          EXPECT_EQ(got.feasible, want.feasible) << where;
+          expect_same_sweep(*kind.cfg, mode, p, grid, kind.label);
         }
+      }
+    }
+  }
+}
+
+TEST(WorstCaseSweepTest, RandomLeadsSpanningPeriodsEqualRecordedTimelines) {
+  Rng rng(0x5EE9);
+  for (const test::DuplexKind& kind : test::duplex_kinds()) {
+    for (AccessMode mode : kModes) {
+      for (int draw = 0; draw < 3; ++draw) {
+        const LatencyModelParams p = random_params(rng, kind.cfg->period());
+        const int grid = 1 + static_cast<int>(rng.uniform_int(7));
+        expect_same_sweep(*kind.cfg, mode, p, grid, kind.label);
+      }
+    }
+  }
+}
+
+TEST(WorstCaseSweepTest, GridFinerThanOneNanosecondEqualsRecordedTimelines) {
+  // At µ6 a symbol is 1116 ns: a 1200-point grid rounds its first points
+  // down to the boundary, below the +1 ns probe before them, so probe
+  // offsets are not monotone within a symbol.
+  const std::shared_ptr<const DuplexConfig> cfgs[] = {
+      std::make_shared<SlotFormatConfig>(kMu6, std::vector<int>{0, 45}),
+      std::make_shared<SlotFormatConfig>(kMu6, std::vector<int>{28, 1}),
+      std::make_shared<MiniSlotConfig>(kMu6, 2), std::make_shared<FddConfig>(kMu6)};
+  ASSERT_GT(1200, cfgs[0]->clock().symbol_duration().count());
+  Rng rng(0x6121);
+  for (const auto& cfg : cfgs) {
+    for (AccessMode mode : kModes) {
+      expect_same_sweep(*cfg, mode, {}, 1200, cfg->name());
+      expect_same_sweep(*cfg, mode, random_params(rng, cfg->period()), 1200, cfg->name());
+    }
+  }
+}
+
+/// A duplex whose UL capability ends after `last_ul_slot`: a sweep over
+/// the period holding that slot turns infeasible part-way through.
+class UlEraDuplex final : public DuplexConfig {
+ public:
+  UlEraDuplex(SlotFormatConfig inner, SlotIndex last_ul_slot)
+      : DuplexConfig(inner.numerology()), inner_(std::move(inner)), last_(last_ul_slot) {}
+  [[nodiscard]] SlotMasks slot_masks(SlotIndex s) const override {
+    SlotMasks m = inner_.slot_masks(s);
+    if (s > last_) m.ul = 0;
+    return m;
+  }
+  [[nodiscard]] int period_slots() const override { return inner_.period_slots(); }
+  [[nodiscard]] std::string name() const override { return "ul-era"; }
+
+ private:
+  SlotFormatConfig inner_;
+  SlotIndex last_;
+};
+
+TEST(WorstCaseSweepTest, InfeasibleSweepCoversTheProbesBeforeTheFirstFailure) {
+  // D | DDDDDDFFUUUUUU at µ6, swept over slots 16-17; UL ends with slot
+  // 17, the sweep's last. A 3-symbol grant-free window exists up to the
+  // symbol-11 boundary and never after: the +1 ns probe of symbol 11 fails
+  // first. The 1200-point grid's first point rounds back to that boundary,
+  // where a window exists, but it comes after the failure and must not
+  // count (counting it moves the mean by 1 ns).
+  const SlotFormatConfig dm{kMu6, {0, 45}};
+  const UlEraDuplex era(dm, /*last_ul_slot=*/17);
+  const Nanos sym = dm.clock().symbol_duration();
+  const Nanos last_ok = dm.clock().slot_duration() + sym * 11;
+  LatencyModelParams p;
+  p.data_tx_symbols = 3;
+  for (int grid : {4, 1200}) {
+    const WorstCaseResult wc = analyze_worst_case(era, AccessMode::GrantFreeUl, p, grid);
+    EXPECT_FALSE(wc.feasible);
+    EXPECT_EQ(wc.best, sym * 3);  // a probe that transmits right away
+    EXPECT_GT(wc.worst, Nanos::zero());
+    EXPECT_LE(wc.worst_arrival_offset, last_ok);
+    expect_same_sweep(era, AccessMode::GrantFreeUl, p, grid, "ul-era");
+
+    // The same statistics counted by hand: every probe of the sweep up to
+    // and including the symbol-11 boundary, in probe order.
+    WorstCaseResult by_hand;
+    double sum = 0.0;
+    std::size_t n = 0;
+    const Nanos base = dm.period() * 8;
+    for (int slot = 0; slot < 2; ++slot) {
+      for (int s = 0; s < kSymbolsPerSlot; ++s) {
+        const Nanos boundary = dm.clock().slot_duration() * slot + sym * s;
+        if (boundary > last_ok) continue;
+        for (int i = -1; i < grid; ++i) {
+          if (boundary == last_ok && i >= 0) break;  // the +1 ns probe fails
+          const Nanos off = probe_offset(boundary, sym, i, grid);
+          const Nanos lat =
+              trace_transmission(era, AccessMode::GrantFreeUl, base + off, p).latency();
+          by_hand.worst = std::max(by_hand.worst, lat);
+          sum += static_cast<double>(lat.count());
+          ++n;
+        }
+      }
+    }
+    EXPECT_EQ(wc.worst, by_hand.worst) << grid;
+    EXPECT_EQ(wc.mean, Nanos{static_cast<std::int64_t>(sum / static_cast<double>(n))}) << grid;
+  }
+}
+
+TEST(WorstCaseSweepTest, SweepDoesNotAllocate) {
+  const LatencyModelParams params[] = {LatencyModelParams{}, software_stack_params()};
+  for (const test::DuplexKind& kind : test::duplex_kinds()) {
+    for (AccessMode mode : kModes) {
+      for (const LatencyModelParams& p : params) {
+        const std::size_t before = g_allocs.load();
+        (void)analyze_worst_case(*kind.cfg, mode, p, 4);
+        EXPECT_EQ(g_allocs.load() - before, 0u) << kind.label << " / " << to_string(mode);
       }
     }
   }

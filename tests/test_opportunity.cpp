@@ -87,6 +87,22 @@ TEST(NextUlTxTest, LastSymbolWindowEndsAtSlotBoundary) {
   EXPECT_EQ(w->end, kSlot * 2);
 }
 
+TEST(NextUlTxTest, SearchLimitCutsOffOnTheLastSymbol) {
+  const TddCommonConfig c = TddCommonConfig::dm(kMu2);  // D | DDDD--UUUUUUUU
+  // The earliest 2-symbol window is symbols 6..7 of slot 1. A limit that
+  // lets the window begin but ends before its last symbol starts finds
+  // nothing; one that reaches the last symbol's start finds it.
+  const Nanos t = 1_ns;
+  const Nanos first = kSlot + kSym * 6;
+  const Nanos last = kSlot + kSym * 7;
+  EXPECT_FALSE(next_ul_tx(c, t, 2, first + 1_ns - t).has_value());
+  EXPECT_FALSE(next_ul_tx(c, t, 2, last - t).has_value());
+  const auto w = next_ul_tx(c, t, 2, last + 1_ns - t);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->start, first);
+  EXPECT_EQ(w->end, kSlot + kSym * 8);
+}
+
 class UlWindowPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(UlWindowPropertyTest, ReturnedWindowsAreUplinkCapable) {
@@ -168,6 +184,18 @@ TEST(NextDlControlTest, FddEverySlot) {
   EXPECT_EQ(next_dl_control(c, kSlot)->start, kSlot);
 }
 
+TEST(NextDlControlTest, SearchLimitCutsOffOnTheStart) {
+  const TddCommonConfig c = TddCommonConfig::du(kMu2);
+  // The next control boundary is 2 slots out; a window that begins before
+  // the limit counts even though it ends after it.
+  const Nanos t = 1_ns;
+  EXPECT_FALSE(next_dl_control(c, t, kSlot * 2 - t).has_value());
+  const auto w = next_dl_control(c, t, kSlot * 2 + 1_ns - t);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->start, kSlot * 2);
+  EXPECT_GT(w->end, kSlot * 2 + 1_ns);  // ends past the limit
+}
+
 TEST(NextDlControlTest, NoDownlinkAnywhere) {
   const SlotFormatConfig all_ul{kMu2, {1}};
   EXPECT_FALSE(next_dl_control(all_ul, 0_ns, 5_ms).has_value());
@@ -206,6 +234,16 @@ TEST(NextDlDataTest, MiniSlotServesWithinGranule) {
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, kSym * 2);
   EXPECT_EQ(w->end, kSym * 4);  // the granule itself
+}
+
+TEST(NextDlDataTest, SearchLimitCutsOffOnTheStart) {
+  const TddCommonConfig c = TddCommonConfig::du(kMu2);
+  const Nanos t = 1_ns;
+  EXPECT_FALSE(next_dl_data(c, t, kSlot * 2 - t).has_value());
+  const auto w = next_dl_data(c, t, kSlot * 2 + 1_ns - t);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->start, kSlot * 2);
+  EXPECT_EQ(w->end, kSlot * 3);  // ends a whole slot past the limit
 }
 
 TEST(NextDlDataTest, ExactBoundaryUsable) {

@@ -370,6 +370,33 @@ TEST(FeasibilityServiceTest, TailSamplesAnswerAnyQuantile) {
   EXPECT_EQ(v.tail->quantile, 0.5);
 }
 
+TEST(FeasibilityServiceTest, TailHitsEqualColdAnswersAtEveryQuantileAndDeadline) {
+  // A tail hit reads the cached sorted sample set in place; each reading
+  // must equal the one a fresh service computes on its cold miss.
+  FeasibilityService warm;
+  FeasibilityQuery q = FeasibilityQuery::with_tail(StackConfig::testbed_grant_based(9),
+                                                   AccessMode::GrantBasedUl, Nanos{5'000'000},
+                                                   /*replications=*/2, /*packets=*/8,
+                                                   /*quantile=*/0.5);
+  (void)warm.query(q);
+  for (double quantile : {0.5, 0.9, 1.0}) {
+    for (Nanos deadline : {Nanos{1'500'000}, Nanos{3'000'000}}) {
+      q.tail->quantile = quantile;
+      q.deadline = deadline;
+      const FeasibilityVerdict hit = warm.query(q);
+      FeasibilityService fresh;
+      const FeasibilityVerdict cold = fresh.query(q);
+      ASSERT_TRUE(hit.tail_cache_hit);
+      ASSERT_FALSE(cold.tail_cache_hit);
+      EXPECT_EQ(hit.tail->quantile_latency_us, cold.tail->quantile_latency_us);
+      EXPECT_EQ(hit.tail->reliability.fraction_within, cold.tail->reliability.fraction_within);
+      EXPECT_EQ(hit.tail->reliability.delivered, cold.tail->reliability.delivered);
+      EXPECT_EQ(hit.tail->meets_deadline, cold.tail->meets_deadline);
+      EXPECT_EQ(hit.meets_deadline, cold.meets_deadline);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service: LRU eviction never changes answers
 

@@ -335,6 +335,7 @@ TEST(SlotMasksTest, SlotMasksMatchDirectionMap) {
     CanonicalWords got;
     cfg.append_value_words(got);
     EXPECT_EQ(got.words(), want.words()) << kind.label;
+    EXPECT_EQ(cfg.value_word_count(), got.size()) << kind.label;
 
     std::string render;
     for (int s = 0; s < period; ++s) {

@@ -9,8 +9,10 @@
 // end-to-end bench wall-clock across commits.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -157,6 +159,48 @@ void BM_SimulatorSameTimestampBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTimes * kPerTime);
 }
 BENCHMARK(BM_SimulatorSameTimestampBurst);
+
+// What one pending event costs in memory: 100k events are scheduled and left
+// pending, first with closures that fit a compact slot (a `this` plus an
+// index, like a packet arrival), then with closures that need a wide slot
+// (a 64-byte payload, like a datapath closure carrying a ByteBuffer). The
+// allocator's in-use bytes (mallinfo2, small blocks plus mmapped ones) are
+// read before and after, so the figure covers slot chunks and heap entries
+// alike. Counters: bytes per pending event for each closure kind.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+template <typename MakeClosure>
+double pending_bytes_per_event(int events, MakeClosure make) {
+  const std::size_t before = heap_in_use();
+  Simulator sim;
+  for (int i = 0; i < events; ++i) sim.schedule_at(Nanos{i}, make(i));
+  const std::size_t after = heap_in_use();
+  benchmark::DoNotOptimize(sim.pending_events());
+  return static_cast<double>(after - before) / events;
+}
+
+void BM_PendingEventFootprint(benchmark::State& state) {
+  constexpr int kEvents = 100'000;
+  long fired = 0;
+  double compact = 0.0;
+  double wide = 0.0;
+  for (auto _ : state) {
+    compact = pending_bytes_per_event(kEvents, [&fired](int i) {
+      return [&fired, i] { fired += i; };
+    });
+    wide = pending_bytes_per_event(kEvents, [&fired](int i) {
+      return [&fired, i, payload = std::array<std::uint64_t, 8>{}] { fired += i + payload[0]; };
+    });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.counters["compact_B_per_event"] = compact;
+  state.counters["wide_B_per_event"] = wide;
+  state.SetItemsProcessed(state.iterations() * 2 * kEvents);
+}
+BENCHMARK(BM_PendingEventFootprint)->Unit(benchmark::kMillisecond);
 
 // End-to-end wall-clock proxy: one small testbed Fig-6-style run. Tracks the
 // full-stack cost per packet, the number the parallel runner multiplies.

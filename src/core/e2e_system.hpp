@@ -31,19 +31,17 @@ enum class Direction { Uplink, Downlink };
   return d == Direction::Uplink ? "UL" : "DL";
 }
 
-/// Everything measured about one packet.
+/// Everything measured about one packet. Fields run from widest to narrowest
+/// so the record has no padding holes: one is kept per offered packet.
 struct PacketRecord {
+  std::array<Nanos, 6> gnb_layer_time{};  ///< indexed by static_cast<int>(Layer)
+  Nanos created{};
+  Nanos delivered{};
   int seq = -1;
   int ue = 0;
   Direction dir = Direction::Uplink;
-  Nanos created{};
-  Nanos delivered{};
-  bool ok = false;
-  Nanos rlc_queue_wait{};   ///< Table 2 "RLC-q" (gNB DL queue wait)
-  bool has_rlc_queue_wait = false;
   int harq_transmissions = 1;
-  bool missed_radio_deadline = false;
-  std::array<Nanos, 6> gnb_layer_time{};  ///< indexed by static_cast<int>(Layer)
+  bool ok = false;
 
   [[nodiscard]] Nanos latency() const { return delivered - created; }
 };

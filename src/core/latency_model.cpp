@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace u5g {
 
@@ -179,14 +180,16 @@ Timeline trace_transmission(const DuplexConfig& cfg, AccessMode mode, Nanos arri
 }
 
 void validate_sweep_inputs(const LatencyModelParams& p, int grid_per_symbol) {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) {
-      throw std::invalid_argument{std::string{"worst-case sweep: "} + what + " must be >= 1"};
-    }
+  // Every query runs this, cache hits included: build a message only on
+  // failure.
+  const auto reject = [](const char* what, const std::string& bound) {
+    throw std::invalid_argument{std::string{"worst-case sweep: "} + what + " must be " + bound};
   };
-  require(grid_per_symbol >= 1, "grid_per_symbol");
-  require(p.data_tx_symbols >= 1, "data_tx_symbols");
-  require(p.sr_symbols >= 1, "sr_symbols");
+  if (grid_per_symbol < 1 || grid_per_symbol > kMaxGridPerSymbol) {
+    reject("grid_per_symbol", "in [1, " + std::to_string(kMaxGridPerSymbol) + "]");
+  }
+  if (p.data_tx_symbols < 1) reject("data_tx_symbols", ">= 1");
+  if (p.sr_symbols < 1) reject("sr_symbols", ">= 1");
 }
 
 WorstCaseResult analyze_worst_case(const DuplexConfig& cfg, AccessMode mode,

@@ -96,10 +96,17 @@ struct WorstCaseResult {
   bool feasible = true;
 };
 
-/// Throws std::invalid_argument naming the field when `grid_per_symbol`,
-/// `p.data_tx_symbols` or `p.sr_symbols` is below 1 — values the sweep
-/// would otherwise alias (every grid < 1 probes what grid 1 probes) or
-/// report as a silent "infeasible".
+/// Densest worst-case arrival grid a sweep accepts: 65,536 points per
+/// symbol. The shortest symbol (µ6, 1,116 ns) is fully probed at
+/// nanosecond resolution by 1,200 points; the cap only stops a query near
+/// INT_MAX from tying up a worker for hours.
+inline constexpr int kMaxGridPerSymbol = 65'536;
+
+/// Throws std::invalid_argument naming the field when `grid_per_symbol` is
+/// outside [1, kMaxGridPerSymbol], or `p.data_tx_symbols` or `p.sr_symbols`
+/// is below 1 — values the sweep would otherwise alias (every grid < 1
+/// probes what grid 1 probes), spend hours on, or report as a silent
+/// "infeasible".
 void validate_sweep_inputs(const LatencyModelParams& p, int grid_per_symbol);
 
 /// Sweeps arrivals over one full period: every symbol boundary, the instant

@@ -1,11 +1,12 @@
 #pragma once
-// Small-buffer-optimised, move-only callable used for simulator events.
+// Small-buffer-optimised, move-only callables used for simulator events.
 //
 // A Fig-6-scale run schedules hundreds of thousands of events whose closures
 // capture one to three words (a `this`, a timestamp, a packet id). With
-// `std::function` each of those costs a heap allocation; `Action` stores any
-// nothrow-movable callable of up to `kInlineSize` bytes directly in the event
-// slot and falls back to the heap only for oversized captures.
+// `std::function` each of those costs a heap allocation; a `BasicAction`
+// stores any nothrow-movable callable of up to `N` bytes (aligned to at most
+// `Align`) directly in the event slot and falls back to the heap only for
+// oversized or over-aligned captures.
 
 #include <cstddef>
 #include <new>
@@ -14,46 +15,50 @@
 
 namespace u5g {
 
-/// Type-erased `void()` callable with inline storage for small captures.
-class Action {
+/// Type-erased `void()` callable with `N` bytes of inline storage aligned to
+/// `Align`.
+template <std::size_t N, std::size_t Align>
+class BasicAction {
  public:
-  /// Inline capacity: twenty words — small lambda captures, a whole
-  /// `std::function` handed down from legacy call sites, and datapath
-  /// closures that carry a `ByteBuffer` (64 bytes) plus bookkeeping by
-  /// value, so moving a packet across an event never heap-allocates.
-  static constexpr std::size_t kInlineSize = 20 * sizeof(void*);
+  static constexpr std::size_t kInlineSize = N;
+  static constexpr std::size_t kInlineAlign = Align;
 
-  Action() = default;
+  /// True when `Fn` is stored in place rather than behind a heap pointer.
+  template <typename Fn>
+  static constexpr bool kFitsInline = sizeof(Fn) <= N && alignof(Fn) <= Align &&
+                                      std::is_nothrow_move_constructible_v<Fn>;
+
+  BasicAction() = default;
 
   template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, Action> &&
+    requires(!std::is_same_v<std::remove_cvref_t<F>, BasicAction> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
-  Action(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+  BasicAction(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     emplace_impl(std::forward<F>(f));
   }
 
   /// Destroy any stored callable and construct `f` directly in the inline
   /// buffer. The simulator uses this to build event closures in their final
-  /// resting slot, so scheduling never moves an `Action` at all.
+  /// resting slot, so scheduling never moves an action at all.
   template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, Action> &&
+    requires(!std::is_same_v<std::remove_cvref_t<F>, BasicAction> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   void emplace(F&& f) {
     reset();
     emplace_impl(std::forward<F>(f));
   }
 
-  Action(Action&& o) noexcept { move_from(o); }
-  Action& operator=(Action&& o) noexcept {
+  BasicAction(BasicAction&& o) noexcept { move_from(o); }
+  BasicAction& operator=(BasicAction&& o) noexcept {
     if (this != &o) {
       reset();
       move_from(o);
     }
     return *this;
   }
-  Action(const Action&) = delete;
-  Action& operator=(const Action&) = delete;
-  ~Action() { reset(); }
+  BasicAction(const BasicAction&) = delete;
+  BasicAction& operator=(const BasicAction&) = delete;
+  ~BasicAction() { reset(); }
 
   void operator()() { ops_->invoke(buf_); }
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
@@ -72,11 +77,6 @@ class Action {
     void (*relocate)(void* src, void* dst) noexcept;  ///< move to dst, destroy src
     void (*destroy)(void*) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool kFitsInline = sizeof(Fn) <= kInlineSize &&
-                                      alignof(Fn) <= alignof(std::max_align_t) &&
-                                      std::is_nothrow_move_constructible_v<Fn>;
 
   template <typename F>
   void emplace_impl(F&& f) {
@@ -104,7 +104,7 @@ class Action {
     }
   }
 
-  void move_from(Action& o) noexcept {
+  void move_from(BasicAction& o) noexcept {
     if (o.ops_ != nullptr) {
       ops_ = o.ops_;
       ops_->relocate(o.buf_, buf_);
@@ -112,8 +112,23 @@ class Action {
     }
   }
 
-  alignas(std::max_align_t) std::byte buf_[kInlineSize];
+  static_assert(N >= sizeof(void*) && Align >= alignof(void*),
+                "the heap fallback stores a pointer in the inline buffer");
+
+  alignas(Align) std::byte buf_[N];
   const Ops* ops_ = nullptr;
 };
+
+/// The wide action: twenty words, 16-aligned — small lambda captures, a
+/// whole `std::function` handed down from legacy call sites, and datapath
+/// closures that carry a `ByteBuffer` (64 bytes) plus bookkeeping by value,
+/// so moving a packet across an event never heap-allocates.
+using Action = BasicAction<20 * sizeof(void*), alignof(std::max_align_t)>;
+
+/// The compact action: five words, pointer-aligned — a `this` plus a few
+/// indices or timestamps, which is what most events capture. With its ops
+/// pointer it is 48 bytes, so a simulator slot holding one (plus seq and
+/// tombstone) is exactly one 64-byte cache line.
+using CompactAction = BasicAction<5 * sizeof(void*), alignof(void*)>;
 
 }  // namespace u5g

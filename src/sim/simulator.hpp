@@ -21,18 +21,24 @@
 //    timestamp, bench_scaleout's grant-free 16x8 cells 1.155, other testbed
 //    and city shapes 1.000-1.107), so a hash index and a FIFO bucket per
 //    timestamp cost more than the heap pushes they save (EXPERIMENTS.md).
+//  * Two slot sizes. A closure of at most 40 bytes (8-aligned) lives in a
+//    compact slot that is exactly one 64-byte cache line; anything larger
+//    (the datapath closures that carry a `ByteBuffer`) lives in a 192-byte
+//    wide slot. The templated `schedule_*` overloads pick the pool at
+//    compile time from the closure's size and alignment. The top bit of a
+//    slot index names the pool, in heap entries and in handles alike; both
+//    pools share the heaps, the seq counter and the firing path.
 //  * In-place firing. Event closures are built directly inside their slot
-//    (`Action::emplace` from the templated `schedule_*` overloads) and
-//    invoked from there, so the schedule/fire cycle moves zero `Action`
-//    objects. Slots live in fixed-size chunks whose addresses never change,
-//    which is what makes firing in place safe while callbacks schedule new
-//    events.
+//    (`BasicAction::emplace` from the templated `schedule_*` overloads) and
+//    invoked from there, so the schedule/fire cycle moves zero actions.
+//    Slots live in fixed-size chunks whose addresses never change, which is
+//    what makes firing in place safe while callbacks schedule new events.
 //  * Lazy cancellation. `cancel` flips a tombstone in the slot (releasing
 //    the captured resources eagerly) and the heap entry is discarded when it
 //    surfaces.
 //
 // Steady-state schedule/cancel/fire performs zero heap allocations once the
-// heaps, free list and slot chunks have reached their high-water sizes.
+// heaps, free lists and slot chunks have reached their high-water sizes.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,8 +55,9 @@
 namespace u5g {
 
 /// Handle to a scheduled event, usable to cancel it. Identifies the event by
-/// its (slot, seq) pair; seq is globally unique so a handle can never
-/// accidentally refer to a later event recycled into the same slot.
+/// its (slot, seq) pair, where the slot index carries its pool bit; seq is
+/// globally unique so a handle can never accidentally refer to a later event
+/// recycled into the same slot, in either pool.
 class EventHandle {
  public:
   constexpr EventHandle() = default;
@@ -71,20 +78,22 @@ class Simulator {
   [[nodiscard]] Nanos now() const { return now_; }
 
   /// Schedule a callable at absolute time `when` (must be >= now()). The
-  /// templated overload constructs the closure directly in its event slot;
-  /// the `Action` overload exists for call sites that type-erased early.
+  /// templated overload constructs the closure directly in its event slot,
+  /// a compact one when the closure fits `CompactAction` inline and a wide
+  /// one otherwise; the `Action` overload (always wide) exists for call
+  /// sites that type-erased early.
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, Action> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   EventHandle schedule_at(Nanos when, F&& f) {
-    const SlotRef r = prepare(when);
-    r.s->action.emplace(std::forward<F>(f));
-    return EventHandle{r.idx, r.s->seq};
+    if constexpr (CompactAction::kFitsInline<std::remove_cvref_t<F>>) {
+      return place(compact_, 0, when, [&](CompactAction& a) { a.emplace(std::forward<F>(f)); });
+    } else {
+      return place(wide_, kWideBit, when, [&](Action& a) { a.emplace(std::forward<F>(f)); });
+    }
   }
   EventHandle schedule_at(Nanos when, Action action) {
-    const SlotRef r = prepare(when);
-    r.s->action = std::move(action);
-    return EventHandle{r.idx, r.s->seq};
+    return place(wide_, kWideBit, when, [&](Action& a) { a = std::move(action); });
   }
 
   /// Schedule a callable after a relative delay.
@@ -102,13 +111,8 @@ class Simulator {
   /// been cancelled. Safe on default-constructed handles. O(1): tombstones
   /// the slot; the heap entry is skipped when it surfaces.
   bool cancel(EventHandle h) {
-    if (!h.valid() || h.slot_ >= slot_count_) return false;
-    Slot& s = slot(h.slot_);
-    if (s.seq != h.seq_ || s.cancelled) return false;
-    s.cancelled = true;
-    s.action.reset();  // release captured resources eagerly
-    --live_;
-    return true;
+    if (!h.valid()) return false;
+    return (h.slot_ & kWideBit) != 0 ? cancel_in(wide_, h) : cancel_in(compact_, h);
   }
 
   /// Run until the event queue drains or `until` is reached (whichever first).
@@ -144,25 +148,75 @@ class Simulator {
   /// benches export into the metrics registry.
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
+  /// Slots each pool has allocated so far (its high-water mark of pending
+  /// events); with the slot sizes below they give the kernel's footprint.
+  [[nodiscard]] std::uint32_t compact_slots() const { return compact_.size(); }
+  [[nodiscard]] std::uint32_t wide_slots() const { return wide_.size(); }
+  [[nodiscard]] static constexpr std::size_t compact_slot_bytes() { return sizeof(CompactSlot); }
+  [[nodiscard]] static constexpr std::size_t wide_slot_bytes() { return sizeof(WideSlot); }
+
  private:
-  struct Slot {
+  /// One pending event: the seq that handles must match, the tombstone and
+  /// the closure, built and fired in place.
+  template <typename A, std::size_t Align = alignof(A)>
+  struct alignas(Align) Slot {
     std::uint64_t seq = 0;  ///< seq of the resident event; 0 = free/fired
     bool cancelled = false;
-    Action action;
+    A action;
   };
+  using CompactSlot = Slot<CompactAction, 64>;
+  using WideSlot = Slot<Action>;
+  static_assert(sizeof(CompactSlot) == 64, "a compact slot is one cache line");
+
+  /// Pool bit of a slot index: set for the wide pool, clear for compact.
+  static constexpr std::uint32_t kWideBit = 1u << 31;
+  static constexpr std::uint32_t kIndexMask = kWideBit - 1;
+
   struct Entry {
     Nanos when;
     std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct SlotRef {
-    Slot* s;
-    std::uint32_t idx;
+    std::uint32_t slot;  ///< pool bit | index within the pool
   };
 
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
     return a.when < b.when || (a.when == b.when && a.seq < b.seq);
   }
+
+  /// Slots of one size in fixed chunks whose addresses never change, plus
+  /// the free list of recycled indices.
+  template <typename S>
+  class SlotPool {
+   public:
+    [[nodiscard]] S& at(std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
+    [[nodiscard]] std::uint32_t size() const { return count_; }
+
+    std::uint32_t acquire() {
+      if (free_.empty()) return grow();
+      const std::uint32_t idx = free_.back();
+      free_.pop_back();
+      return idx;
+    }
+    void release(std::uint32_t i) { free_.push_back(i); }
+
+   private:
+    static constexpr std::uint32_t kChunkShift = 8;
+    static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+    static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
+
+    /// Hand out a never-used slot, adding a chunk when the last one is full.
+    /// Out of line: the warm path recycles from the free list.
+    [[gnu::noinline]] std::uint32_t grow() {
+      if ((count_ & kChunkMask) == 0) {
+        if (count_ > kIndexMask - kChunkSize) throw std::length_error{"Simulator: slot pool full"};
+        chunks_.push_back(std::make_unique<S[]>(kChunkSize));
+      }
+      return count_++;
+    }
+
+    std::vector<std::unique_ptr<S[]>> chunks_;
+    std::vector<std::uint32_t> free_;
+    std::uint32_t count_ = 0;
+  };
 
   /// Min-heap of entries by (when, seq). Four children per node halve the
   /// depth of a binary heap; arity 4 measured faster than arity 2 and than
@@ -231,39 +285,37 @@ class Simulator {
     bool& running;
   };
 
-  static constexpr std::uint32_t kChunkShift = 8;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-
-  [[nodiscard]] Slot& slot(std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
-
-  /// Allocate a slot and a heap entry for `when`; the caller fills the
-  /// action in place. Slots come from fixed chunks so the returned pointer
-  /// stays valid even if callbacks grow the kernel's containers.
-  SlotRef prepare(Nanos when) {
+  /// Take a slot from `pool`, push its heap entry for `when`, and let
+  /// `build` fill the action in place. The slot reference stays valid even
+  /// if callbacks grow the kernel's containers, because chunks never move.
+  template <typename S, typename Build>
+  EventHandle place(SlotPool<S>& pool, std::uint32_t pool_bit, Nanos when, Build&& build) {
     if (when < now_) throw std::invalid_argument{"Simulator: scheduling into the past"};
     const std::uint64_t seq = ++next_seq_;
-    std::uint32_t idx;
-    if (free_.empty()) {
-      if ((slot_count_ & kChunkMask) == 0) chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      idx = slot_count_++;
-    } else {
-      idx = free_.back();
-      free_.pop_back();
-    }
-    Slot& s = slot(idx);
+    const std::uint32_t idx = pool.acquire() | pool_bit;
+    S& s = pool.at(idx & kIndexMask);
     s.seq = seq;
     s.cancelled = false;
     (running_ ? runtime_ : injected_).push(Entry{when, seq, idx});
     ++live_;
-    return {&s, idx};
+    build(s.action);
+    return EventHandle{idx, seq};
+  }
+
+  template <typename S>
+  bool cancel_in(SlotPool<S>& pool, EventHandle h) {
+    const std::uint32_t idx = h.slot_ & kIndexMask;
+    if (idx >= pool.size()) return false;
+    S& s = pool.at(idx);
+    if (s.seq != h.seq_ || s.cancelled) return false;
+    s.cancelled = true;
+    s.action.reset();  // release captured resources eagerly
+    --live_;
+    return true;
   }
 
   /// Fire the earliest live event if it is due by `until`; returns false
-  /// when none is. Tombstones that surface on the way are recycled. The
-  /// action runs inside its slot — chunks never move, and the slot is
-  /// recycled only after it returns, so callbacks may freely schedule and
-  /// cancel.
+  /// when none is. Tombstones that surface on the way are recycled.
   bool fire_next(Nanos until) {
     for (;;) {
       Heap* h;
@@ -275,31 +327,40 @@ class Simulator {
       }
       if (h->top().when > until) return false;
       const Entry e = h->pop();
-      Slot& s = slot(e.slot);
-      s.seq = 0;  // the handle goes inert, whether the event fires or was cancelled
-      if (s.cancelled) {
-        s.cancelled = false;
-        free_.push_back(e.slot);
-        continue;
-      }
-      --live_;
-      ++fired_;
-      now_ = e.when;
-      if (s.action) s.action();
-      s.action.reset();
-      free_.push_back(e.slot);
-      return true;
+      if ((e.slot & kWideBit) != 0 ? fire_in(wide_, e) : fire_in(compact_, e)) return true;
     }
+  }
+
+  /// Fire `e`'s slot unless it is a tombstone; either way recycle it. The
+  /// action runs inside its slot — chunks never move, and the slot is
+  /// recycled only after it returns, so callbacks may freely schedule and
+  /// cancel.
+  template <typename S>
+  bool fire_in(SlotPool<S>& pool, const Entry& e) {
+    const std::uint32_t idx = e.slot & kIndexMask;
+    S& s = pool.at(idx);
+    s.seq = 0;  // the handle goes inert, whether the event fires or was cancelled
+    if (s.cancelled) {
+      s.cancelled = false;
+      pool.release(idx);
+      return false;
+    }
+    --live_;
+    ++fired_;
+    now_ = e.when;
+    if (s.action) s.action();
+    s.action.reset();
+    pool.release(idx);
+    return true;
   }
 
   Nanos now_ = Nanos::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::size_t live_ = 0;
-  std::uint32_t slot_count_ = 0;
   bool running_ = false;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint32_t> free_;
+  SlotPool<CompactSlot> compact_;
+  SlotPool<WideSlot> wide_;
   Heap injected_;  ///< scheduled from outside a run
   Heap runtime_;   ///< scheduled by firing callbacks
 };

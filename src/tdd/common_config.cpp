@@ -59,7 +59,10 @@ TddCommonConfig::TddCommonConfig(Numerology num, TddPattern p1, std::optional<Td
     return s;
   };
   name_ += letter(p1_);
-  if (p2_) name_ += "+" + letter(*p2_);
+  if (p2_) {
+    name_ += '+';  // two appends: "+" + string trips a GCC 12 -Wrestrict false positive
+    name_ += letter(*p2_);
+  }
   name_ += ")";
   masks_.reserve(static_cast<std::size_t>(total_slots_));
   for (int s = 0; s < total_slots_; ++s) {

@@ -8,14 +8,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/arena.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/bytes.hpp"
@@ -31,27 +29,6 @@
 #include "rlc/rlc_entity.hpp"
 #include "sdap/qos.hpp"
 #include "sdap/sdap_entity.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global allocator: the zero-allocation assertions below measure
-// heap traffic across a window of warm datapath work.
-
-namespace {
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace u5g {
 namespace {

@@ -59,7 +59,7 @@ TEST(Table1Test, MiniSlotCarriesStandardsCaveat) {
 
 TEST(Table1Test, UnknownModeThrows) {
   const Table1 t = build_table1();
-  EXPECT_NO_THROW(t.columns.front().cell(AccessMode::Downlink));
+  EXPECT_NO_THROW((void)t.columns.front().cell(AccessMode::Downlink));
 }
 
 TEST(Table1Test, LooserDeadlineFlipsVerdicts) {

@@ -39,7 +39,9 @@ TEST(FlatHashMapTest, RandomOpsMatchUnorderedMapReference) {
         const auto* v = fm.find(key);
         const auto it = ref.find(key);
         ASSERT_EQ(it != ref.end(), v != nullptr) << "op " << op;
-        if (v != nullptr) EXPECT_EQ(it->second, *v);
+        if (v != nullptr) {
+          EXPECT_EQ(it->second, *v);
+        }
         break;
       }
     }

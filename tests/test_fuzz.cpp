@@ -591,10 +591,14 @@ TEST(FuzzDynamicTdd, RandomQueueSequencesKeepPolicyInvariants) {
         const bool base_u = (bul >> s) & 1u;
         // A base-DL-only symbol may gain UL (becoming Flexible) but can
         // never render Uplink-only; symmetrically for base-UL symbols.
-        if (base_d) EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Uplink);
-        if (base_u) EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Downlink);
-        if (base_d) EXPECT_TRUE(overlay.dl_capable(target, s));
-        if (base_u) EXPECT_TRUE(overlay.ul_capable(target, s));
+        if (base_d) {
+          EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Uplink);
+          EXPECT_TRUE(overlay.dl_capable(target, s));
+        }
+        if (base_u) {
+          EXPECT_NE(sf.symbols[static_cast<std::size_t>(s)], SymbolKind::Downlink);
+          EXPECT_TRUE(overlay.ul_capable(target, s));
+        }
       }
     }
     // Replaying the identical sequence on a fresh policy reproduces the

@@ -4,12 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <limits>
 #include <memory>
-#include <new>
 #include <stdexcept>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "core/latency_model.hpp"
 #include "duplex_kinds.hpp"
@@ -17,28 +16,6 @@
 #include "tdd/fdd.hpp"
 #include "tdd/mini_slot.hpp"
 #include "tdd/slot_format.hpp"
-
-// Global allocation counter: analyze_worst_case claims zero heap
-// allocations, and that claim is tested below. Counting replacement of the
-// global operator new/delete; the tests read it between statements of one
-// thread, so the atomic is plenty. Out of line, so that GCC does not pair
-// an inlined malloc with a free and warn -Wmismatched-new-delete.
-namespace {
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace u5g {
 namespace {
@@ -522,6 +499,16 @@ TEST(WorstCaseSweepTest, RejectsInputsBelowOne) {
   one.data_tx_symbols = 1;
   EXPECT_TRUE(
       analyze_worst_case(TddCommonConfig::dm(kMu2), AccessMode::GrantBasedUl, one, 1).feasible);
+}
+
+TEST(WorstCaseSweepTest, RejectsGridAboveCap) {
+  // A grid near INT_MAX would tie a worker up for hours; the cap refuses it
+  // up front, naming the field.
+  for (int grid : {kMaxGridPerSymbol + 1, std::numeric_limits<int>::max()}) {
+    expect_rejected({}, grid, "grid_per_symbol");
+  }
+  // The cap itself is a valid grid.
+  EXPECT_NO_THROW(validate_sweep_inputs({}, kMaxGridPerSymbol));
 }
 
 }  // namespace

@@ -176,7 +176,9 @@ TEST(McsTest, HighestBelowRate) {
   EXPECT_LT(e.code_rate(), 0.5);
   // It must not be beaten by any other sub-0.5 entry.
   for (const McsEntry& cand : mcs_table()) {
-    if (cand.code_rate() < 0.5) EXPECT_LE(cand.bits_per_re(), e.bits_per_re());
+    if (cand.code_rate() < 0.5) {
+      EXPECT_LE(cand.bits_per_re(), e.bits_per_re());
+    }
   }
 }
 

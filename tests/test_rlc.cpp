@@ -52,7 +52,9 @@ TEST_P(RlcHeaderTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->si, c.si);
   EXPECT_EQ(back->sn, c.sn);
   EXPECT_EQ(back->poll, c.poll);
-  if (h.needs_so()) EXPECT_EQ(back->so, c.so);
+  if (h.needs_so()) {
+    EXPECT_EQ(back->so, c.so);
+  }
   EXPECT_EQ(pdu.size(), 5u);
 }
 
@@ -148,7 +150,9 @@ TEST_P(SegmentationTest, ReassembledEqualsOriginal) {
   }
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(same_bytes(out[0], payload(static_cast<std::size_t>(sdu_size), 0x30)));
-  if (sdu_size + 2 > grant) EXPECT_GT(pdus, 1);  // it really segmented
+  if (sdu_size + 2 > grant) {
+    EXPECT_GT(pdus, 1);  // it really segmented
+  }
   EXPECT_EQ(rx.pending_reassemblies(), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -467,6 +468,30 @@ TEST(FeasibilityServiceTest, RejectsSweepInputsBelowOne) {
   // any job runs: nothing is answered, and the callback never fires.
   QueryBatch batch(6, FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl));
   batch[4] = bad[2];
+  EXPECT_THROW((void)service.query_batch(batch), std::invalid_argument);
+  bool called = false;
+  EXPECT_THROW(service.query_batch_async(batch, [&called](auto) { called = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(called);
+  EXPECT_EQ(service.stats().queries, 0u);
+  EXPECT_EQ(service.stats().analytic_misses, 0u);
+}
+
+TEST(FeasibilityServiceTest, RejectsGridAboveCap) {
+  // A grid near INT_MAX would occupy a pool worker for hours: the query is
+  // refused, and a batch holding one is refused before any job starts.
+  FeasibilityService service;
+  const auto cfg = std::make_shared<TddCommonConfig>(TddCommonConfig::dm(kMu2));
+  FeasibilityQuery huge = FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl);
+  huge.grid_per_symbol = std::numeric_limits<int>::max();
+  try {
+    (void)service.query(huge);
+    ADD_FAILURE() << "grid_per_symbol = INT_MAX was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("grid_per_symbol"), std::string::npos) << e.what();
+  }
+  QueryBatch batch(6, FeasibilityQuery::analytic(cfg, AccessMode::GrantFreeUl));
+  batch[5].grid_per_symbol = kMaxGridPerSymbol + 1;
   EXPECT_THROW((void)service.query_batch(batch), std::invalid_argument);
   bool called = false;
   EXPECT_THROW(service.query_batch_async(batch, [&called](auto) { called = true; }),

@@ -1,44 +1,22 @@
 // Unit tests for the discrete-event kernel and the periodic process helper,
-// including the slot-map tombstone machinery and the small-buffer Action's
-// zero-allocation guarantee.
+// including the slot-map tombstone machinery, the compact and wide slot
+// pools, and the small-buffer Action's zero-allocation guarantee.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "core/e2e_system.hpp"
 #include "sim/periodic.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
-
-// Global allocation counter: the kernel claims zero heap allocations for
-// small actions in steady state, and that claim is tested below. Counting
-// replacement of the global operator new/delete; single-threaded tests only
-// read the counter between statements, so the atomic is plenty.
-namespace {
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace u5g {
 namespace {
@@ -124,6 +102,12 @@ class ReferenceSim {
   std::vector<Rec> recs_;
 };
 
+// Six words of ballast: a closure carrying it is too big for a compact
+// slot and goes to the wide pool.
+struct WidePad {
+  std::uint64_t words[6] = {};
+};
+
 // One randomised script, run against either the kernel or the reference.
 // Every choice comes from a counter-based hash stream, so two scripts with
 // the same trial make identical choices for as long as they fire identical
@@ -133,20 +117,31 @@ struct KernelScript {
   using Handle = decltype(std::declval<Sim&>().schedule_at(Nanos{}, std::function<void()>{}));
   static constexpr int kSpawnCap = 300;
 
-  explicit KernelScript(std::uint64_t trial) : state(trial * 0x9E3779B97F4A7C15ULL) {}
+  explicit KernelScript(std::uint64_t trial)
+      : state(trial * 0x9E3779B97F4A7C15ULL), pool_salt(~state) {}
 
   std::uint64_t next() { return splitmix64(state++); }
 
   // Schedule event `handles.size()` at `when`. From outside a run it lands
   // in the kernel's injection heap; from inside a callback, in the runtime
-  // heap.
+  // heap. A hash of the id (not the shared stream) picks a compact or a
+  // wide closure, so about half the events land in each slot pool.
   void add(Nanos when) {
     const int id = static_cast<int>(handles.size());
+    const bool is_wide = (splitmix64(pool_salt + static_cast<std::uint64_t>(id)) & 1u) != 0;
     handles.emplace_back();
     from_callback.push_back(in_callback);
+    wide.push_back(is_wide);
     times.push_back(when);
-    handles[static_cast<std::size_t>(id)] =
-        sim.schedule_at(when, std::function<void()>{[this, id] { fire(id); }});
+    Handle& h = handles[static_cast<std::size_t>(id)];
+    if (is_wide) {
+      h = sim.schedule_at(when, [this, id, pad = WidePad{}] {
+        (void)pad;
+        fire(id);
+      });
+    } else {
+      h = sim.schedule_at(when, [this, id] { fire(id); });
+    }
   }
 
   void cancel_one(std::uint64_t r) {
@@ -207,10 +202,12 @@ struct KernelScript {
 
   Sim sim;
   std::uint64_t state;
+  std::uint64_t pool_salt;
   bool in_callback = false;
   int spawned = 0;
   std::vector<Handle> handles;
   std::vector<bool> from_callback;
+  std::vector<bool> wide;
   std::vector<Nanos> times;
   std::vector<int> order;
   std::vector<int> outcomes;  ///< cancel() and step() results, in call order
@@ -219,14 +216,16 @@ struct KernelScript {
 };
 
 TEST(SimulatorTest, TwoTierFiringMatchesReferenceModel) {
-  // Property test for the two-tier heap: events scheduled from outside a
-  // run and from inside callbacks share timestamps with interleaved seqs,
-  // are cancelled in both tiers, and are fired by interleaved step() and
-  // run_until() calls. After every operation the kernel must have fired
-  // exactly the reference's (time, seq) sequence, agree on every cancel()
-  // and step() result, and report a next_event_time() no later than the
-  // reference's earliest live event.
+  // Property test for the two-tier heap and the two slot pools: events
+  // scheduled from outside a run and from inside callbacks, in compact and
+  // wide slots, share timestamps with interleaved seqs, are cancelled in
+  // both tiers, and are fired by interleaved step() and run_until() calls.
+  // After every operation the kernel must have fired exactly the
+  // reference's (time, seq) sequence, agree on every cancel() and step()
+  // result, and report a next_event_time() no later than the reference's
+  // earliest live event.
   int mixed_ties = 0;
+  int pool_ties = 0;
   int cancelled_injected = 0;
   int cancelled_runtime = 0;
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
@@ -260,11 +259,16 @@ TEST(SimulatorTest, TwoTierFiringMatchesReferenceModel) {
       const auto a = static_cast<std::size_t>(ref.order[i - 1]);
       const auto b = static_cast<std::size_t>(ref.order[i]);
       if (ref.times[a] == ref.times[b] && ref.from_callback[a] && !ref.from_callback[b]) ++mixed_ties;
+      // Adjacent same-timestamp firings from different slot pools.
+      if (ref.times[a] == ref.times[b] && ref.wide[a] != ref.wide[b]) ++pool_ties;
     }
     cancelled_injected += ref.cancelled_injected;
     cancelled_runtime += ref.cancelled_runtime;
+    EXPECT_GT(k.sim.compact_slots(), 0u) << "trial " << trial;
+    EXPECT_GT(k.sim.wide_slots(), 0u) << "trial " << trial;
   }
   EXPECT_GT(mixed_ties, 0);
+  EXPECT_GT(pool_ties, 0);
   EXPECT_GT(cancelled_injected, 0);
   EXPECT_GT(cancelled_runtime, 0);
 }
@@ -462,6 +466,90 @@ TEST(SimulatorTest, ManyInterleavedCancelsKeepOrdering) {
 }
 
 // ---------------------------------------------------------------------------
+// Compact and wide slot pools
+
+// A closure of exactly N bytes aligned to A; firing bumps a shared counter.
+int sized_fired = 0;
+template <std::size_t N, std::size_t A = 1>
+struct alignas(A) SizedClosure {
+  unsigned char bytes[N] = {};
+  void operator()() const { ++sized_fired; }
+};
+
+TEST(SlotPoolTest, SlotAndRecordSizesArePinned) {
+  static_assert(Simulator::compact_slot_bytes() == 64);
+  static_assert(sizeof(PacketRecord) <= 88);
+  EXPECT_EQ(Simulator::compact_slot_bytes(), 64u);
+  EXPECT_EQ(Simulator::wide_slot_bytes(), 192u);
+  EXPECT_LE(sizeof(PacketRecord), 88u);
+}
+
+TEST(SlotPoolTest, ClosureSizeAndAlignmentPickThePool) {
+  static_assert(sizeof(SizedClosure<40>) == 40 && sizeof(SizedClosure<41>) == 41);
+  static_assert(CompactAction::kFitsInline<SizedClosure<40>>);
+  static_assert(CompactAction::kFitsInline<SizedClosure<40, 8>>);
+  static_assert(!CompactAction::kFitsInline<SizedClosure<41>>);
+  static_assert(!CompactAction::kFitsInline<SizedClosure<16, 16>>);
+  static_assert(Action::kFitsInline<SizedClosure<41>> && Action::kFitsInline<SizedClosure<16, 16>>);
+  static_assert(!Action::kFitsInline<SizedClosure<32, 64>>);
+
+  Simulator sim;
+  const auto schedule_all = [&sim] {
+    const Nanos t = sim.now() + Nanos{1};
+    sim.schedule_at(t, SizedClosure<40>{});      // compact
+    sim.schedule_at(t, SizedClosure<40, 8>{});   // compact
+    sim.schedule_at(t, SizedClosure<41>{});      // wide, inline
+    sim.schedule_at(t, SizedClosure<16, 16>{});  // wide, inline (over-aligned for compact)
+    sim.schedule_at(t, SizedClosure<32, 64>{});  // wide, on the heap (over-aligned for wide)
+  };
+  sized_fired = 0;
+  schedule_all();
+  EXPECT_EQ(sim.compact_slots(), 2u);
+  EXPECT_EQ(sim.wide_slots(), 3u);
+  sim.run_until();
+  EXPECT_EQ(sized_fired, 5);
+
+  // Warm: only the closure that fits no inline buffer allocates.
+  const std::size_t before = g_allocs.load();
+  schedule_all();
+  EXPECT_EQ(g_allocs.load() - before, 1u);
+  sim.run_until();
+  EXPECT_EQ(sized_fired, 10);
+  EXPECT_EQ(sim.compact_slots(), 2u);
+  EXPECT_EQ(sim.wide_slots(), 3u);
+}
+
+TEST(SlotPoolTest, StaleAndCrossPoolCancelsAreInert) {
+  Simulator sim;
+  sized_fired = 0;
+  // Index 0 of each pool: the handles differ only in the pool bit and seq.
+  const EventHandle compact = sim.schedule_at(10_ns, SizedClosure<8>{});
+  const EventHandle wide = sim.schedule_at(10_ns, SizedClosure<64>{});
+  ASSERT_EQ(sim.compact_slots(), 1u);
+  ASSERT_EQ(sim.wide_slots(), 1u);
+  EXPECT_TRUE(sim.cancel(compact));
+  EXPECT_FALSE(sim.cancel(compact));
+  EXPECT_EQ(sim.pending_events(), 1u);  // the wide event at the same index is untouched
+
+  // The next compact event recycles index 0; the stale handle stays inert.
+  const EventHandle recycled = sim.schedule_at(20_ns, SizedClosure<8>{});
+  EXPECT_FALSE(sim.cancel(compact));
+
+  // A handle into a pool this simulator has never grown is out of range.
+  Simulator other;
+  const EventHandle foreign_wide = other.schedule_at(5_ns, SizedClosure<64>{});
+  Simulator fresh;
+  EXPECT_FALSE(fresh.cancel(foreign_wide));
+  EXPECT_FALSE(fresh.cancel(compact));
+
+  sim.run_until();
+  EXPECT_EQ(sized_fired, 2);
+  EXPECT_FALSE(sim.cancel(wide));
+  EXPECT_FALSE(sim.cancel(recycled));
+  EXPECT_TRUE(other.cancel(foreign_wide));
+}
+
+// ---------------------------------------------------------------------------
 // Action: small-buffer storage and move semantics
 
 TEST(ActionTest, InvokesSmallAndLargeCallables) {
@@ -517,7 +605,7 @@ TEST(ActionTest, SmallActionIsHeapFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero heap allocations in kernel steady state (small actions)
+// Zero heap allocations in kernel steady state (both slot pools)
 
 TEST(SimulatorTest, SteadyStateScheduleFireCancelIsHeapFree) {
   Simulator sim;
@@ -530,16 +618,32 @@ TEST(SimulatorTest, SteadyStateScheduleFireCancelIsHeapFree) {
   // heap) and cancels a third of them. Each one that fires schedules a child
   // from inside its callback (the runtime heap), and every second one
   // cancels the child scheduled before it, so both heaps schedule, fire and
-  // cancel.
+  // cancel. Odd events and their children carry wide closures, even ones
+  // compact closures, so both slot pools cycle too.
+  const auto parent = [&] {
+    if (++fired % 2 == 0 && !children.empty()) sim.cancel(children.back());
+    if (fired % 4 < 2) {
+      children.push_back(sim.schedule_after(Nanos{3}, [&fired] { ++fired; }));
+    } else {
+      children.push_back(sim.schedule_after(Nanos{3}, [&fired, pad = WidePad{}] {
+        (void)pad;
+        ++fired;
+      }));
+    }
+  };
   const auto round = [&] {
     const Nanos base = sim.now();
     injected.clear();
     children.clear();
     for (int i = 0; i < 128; ++i) {
-      injected.push_back(sim.schedule_at(base + Nanos{i + 1}, [&] {
-        if (++fired % 2 == 0 && !children.empty()) sim.cancel(children.back());
-        children.push_back(sim.schedule_after(Nanos{3}, [&fired] { ++fired; }));
-      }));
+      if (i % 2 == 0) {
+        injected.push_back(sim.schedule_at(base + Nanos{i + 1}, [&parent] { parent(); }));
+      } else {
+        injected.push_back(sim.schedule_at(base + Nanos{i + 1}, [&parent, pad = WidePad{}] {
+          (void)pad;
+          parent();
+        }));
+      }
     }
     for (std::size_t i = 0; i < injected.size(); i += 3) sim.cancel(injected[i]);
     sim.run_until();
@@ -555,6 +659,8 @@ TEST(SimulatorTest, SteadyStateScheduleFireCancelIsHeapFree) {
   EXPECT_EQ(g_allocs.load(), before) << "kernel steady state must not touch the heap";
   EXPECT_GT(fired, fired_before);
   EXPECT_FALSE(children.empty());
+  EXPECT_GT(sim.compact_slots(), 0u);
+  EXPECT_GT(sim.wide_slots(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ TEST(SlotFormatTest, TableBasics) {
   EXPECT_EQ(slot_format(1).render(), "UUUUUUUUUUUUUU");
   EXPECT_EQ(slot_format(2).render(), "FFFFFFFFFFFFFF");
   EXPECT_EQ(slot_format(28).render(), "DDDDDDDDDDDDFU");
-  EXPECT_THROW(slot_format(46), std::out_of_range);
-  EXPECT_THROW(slot_format(-1), std::out_of_range);
+  EXPECT_THROW((void)slot_format(46), std::out_of_range);
+  EXPECT_THROW((void)slot_format(-1), std::out_of_range);
 }
 
 class SlotFormatIndexTest : public ::testing::TestWithParam<int> {};

@@ -220,9 +220,13 @@ class ByteBuffer {
   }
 
   void relocate(std::size_t new_headroom, std::size_t new_tailroom) {
+    // Read the source before acquiring: GCC then keeps the pooled-block
+    // path it already proved, instead of re-checking block_ after the pool
+    // call and warning (-Warray-bounds) about a copy out of the inline bytes.
     const std::size_t n = size();
+    const std::uint8_t* src = storage() + begin_;
     BufferPool::Block* grown = BufferPool::local().acquire(new_headroom + n + new_tailroom);
-    std::memcpy(grown->data() + new_headroom, storage() + begin_, n);
+    std::memcpy(grown->data() + new_headroom, src, n);
     release();
     block_ = grown;
     begin_ = static_cast<std::uint32_t>(new_headroom);

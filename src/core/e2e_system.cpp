@@ -56,6 +56,22 @@ constexpr std::uint64_t kCrosslinkSalt = 0x63726f'73736c'6e6bULL;
 /// disabled config never constructs the gate at all.
 constexpr std::uint64_t kLbtSalt = 0x6e'7275'2d6c'6274ULL;
 
+/// The outcomes E2eSystem counts, indexing its one tally and kCountMetric.
+/// Terminal loss buckets: an offered packet that is not delivered ends in
+/// exactly one of kHarqDrop (budget exhausted), kStranded (no opportunity
+/// within the retry cap), kPdcpDiscard (PDU refused: stale, duplicate or
+/// integrity-failed), or a UPF-outage drop (tallied by the FaultInjector).
+/// kPunctured (re-entries, never terminal) and kXlinkLoss come last: they
+/// are published only under dynamic TDD.
+enum Count : std::uint8_t {
+  kUlSent, kDlSent, kDelivered, kHarqRetx, kHarqDrop, kStranded, kPdcpDiscard, kRadioMiss,
+  kMissedGrant, kPunctured, kXlinkLoss, kCounts
+};
+constexpr std::array<const char*, kCounts> kCountMetric = {
+    "packets.ul_sent", "packets.dl_sent", "packets.delivered", "packets.harq_retransmissions",
+    "harq.dropped_tbs", "harq.stranded_drops", "pdcp.discards", "radio.deadline_misses",
+    "mac.missed_grants", "harq.punctured_retx", "xlink.ul_losses"};
+
 }  // namespace
 
 // ===========================================================================
@@ -154,17 +170,10 @@ struct E2eSystem::Impl {
   // Per-layer gNB processing stats across all traversals (Table 2).
   std::array<RunningStats, 6> gnb_layer_stats;
   RunningStats rlc_q_stats_us;
-  std::uint64_t missed_grants = 0;
 
-  /// Terminal loss buckets: an offered packet that is not delivered ends in
-  /// exactly one of these, or in a UPF-outage drop (tallied by `faults`).
-  /// Harq: HARQ budget exhausted. Stranded: no opportunity within the retry
-  /// cap. PdcpDiscard: PDU refused (stale, duplicate or integrity-failed).
-  enum class Loss : std::uint8_t { Harq, Stranded, PdcpDiscard };
-  static constexpr std::array<const char*, 3> kLossMetric = {
-      "harq.dropped_tbs", "harq.stranded_drops", "pdcp.discards"};
-  static constexpr std::size_t kLossKinds = kLossMetric.size();
-  std::array<std::uint64_t, kLossKinds> losses{};
+  /// Every counted outcome, stored once (indexed by Count): the accessors
+  /// read it and publish_counters() writes it into the registry when read.
+  std::array<std::uint64_t, kCounts> tally{};
 
   // -- Dynamic TDD state (all inert when cfg.dynamic_tdd.enabled is false) --
   std::optional<DynamicFormatPolicy> policy;  ///< engaged iff dynamic enabled
@@ -172,8 +181,6 @@ struct E2eSystem::Impl {
   Rng xlink_rng;                              ///< dedicated cross-link stream
   double xlink_activity = 0.0;       ///< aggregate neighbour DL-upgrade activity
   double dl_upgrade_activity = 0.0;  ///< own latest committed slot's added-DL fraction
-  std::uint64_t punctured_retx = 0;  ///< eMBB TBs re-entered via puncture
-  std::uint64_t xlink_losses = 0;    ///< UL transmissions lost to cross-link
 
   // -- NR-U channel access (inert when cfg.lbt.enabled is false) ------------
   /// Engaged iff cfg.lbt.enabled: the cell's shared-channel CAT4 gate.
@@ -181,33 +188,15 @@ struct E2eSystem::Impl {
   /// short-control-signalling exemption.
   std::optional<LbtGate> lbt;
 
-  // In-flight accounting for the scale-out load signal (sim/sharded.hpp).
-  std::uint64_t packets_started = 0;
-  std::uint64_t packets_delivered = 0;
-
   // -- Observability --------------------------------------------------------
   // The tracer records spans iff enabled; every hook starts with one
-  // predicted branch. Metric handles are resolved once here and stay null
-  // when metrics are off, so the disabled path is a null-pointer check.
+  // predicted branch. Histogram handles are resolved once here and stay
+  // null when metrics are off, so the disabled path is a null-pointer check.
+  // Counters are not live: publish_counters() writes them on read.
   Tracer tracer;
   MetricsRegistry metrics;
   struct MetricHandles {
-    Counter* ul_sent = nullptr;
-    Counter* dl_sent = nullptr;
-    Counter* delivered = nullptr;
-    Counter* harq_retx = nullptr;
-    std::array<Counter*, kLossKinds> loss{};  ///< indexed by Loss
-    Counter* radio_miss = nullptr;
-    Counter* missed_grant = nullptr;
-    Counter* f_burst = nullptr;
-    Counter* f_storm = nullptr;
-    Counter* f_stall = nullptr;
-    Counter* f_upf_drop = nullptr;
-    Counter* f_upf_delay = nullptr;
-    Counter* punctured = nullptr;
-    Counter* xlink_loss = nullptr;
-    LatencyHistogram* ul_latency = nullptr;
-    LatencyHistogram* dl_latency = nullptr;
+    std::array<LatencyHistogram*, 2> latency{};  ///< indexed by Direction
     LatencyHistogram* rlc_q = nullptr;
     std::array<LatencyHistogram*, 6> gnb_layer{};
   } m;
@@ -257,24 +246,7 @@ struct E2eSystem::Impl {
 
     tracer.enable(cfg.trace.spans_on());
     if (cfg.trace.metrics_on()) {
-      m.ul_sent = &metrics.counter("packets.ul_sent");
-      m.dl_sent = &metrics.counter("packets.dl_sent");
-      m.delivered = &metrics.counter("packets.delivered");
-      m.harq_retx = &metrics.counter("packets.harq_retransmissions");
-      for (std::size_t i = 0; i < kLossKinds; ++i) m.loss[i] = &metrics.counter(kLossMetric[i]);
-      m.radio_miss = &metrics.counter("radio.deadline_misses");
-      m.missed_grant = &metrics.counter("mac.missed_grants");
-      m.f_burst = &metrics.counter("fault.burst_losses");
-      m.f_storm = &metrics.counter("fault.os_jitter_storms");
-      m.f_stall = &metrics.counter("fault.radio_bus_stalls");
-      m.f_upf_drop = &metrics.counter("fault.upf_drops");
-      m.f_upf_delay = &metrics.counter("fault.upf_delays");
-      if (cfg.dynamic_tdd.enabled) {
-        m.punctured = &metrics.counter("harq.punctured_retx");
-        m.xlink_loss = &metrics.counter("xlink.ul_losses");
-      }
-      m.ul_latency = &metrics.histogram("latency.ul_ns");
-      m.dl_latency = &metrics.histogram("latency.dl_ns");
+      m.latency = {&metrics.histogram("latency.ul_ns"), &metrics.histogram("latency.dl_ns")};
       m.rlc_q = &metrics.histogram("gnb.rlc_queue_wait_ns");
       for (std::size_t i = 0; i < m.gnb_layer.size(); ++i) {
         m.gnb_layer[i] = &metrics.histogram(
@@ -332,8 +304,7 @@ struct E2eSystem::Impl {
     const double p = cfg.dynamic_tdd.xlink_ul_bler * xlink_activity;
     if (p <= 0.0) return false;
     if (!xlink_rng.bernoulli(std::min(p, 1.0))) return false;
-    ++xlink_losses;
-    if (m.xlink_loss != nullptr) m.xlink_loss->inc();
+    ++tally[kXlinkLoss];
     return true;
   }
 
@@ -353,13 +324,6 @@ struct E2eSystem::Impl {
     return a;
   }
 
-  /// One punctured TB re-entered HARQ (never called on terminal drops: the
-  /// counter tallies re-entries only, on the side of the loss identity).
-  void count_punctured_retx() {
-    ++punctured_retx;
-    if (m.punctured != nullptr) m.punctured->inc();
-  }
-
   PacketRecord& rec(std::size_t idx) { return owner.records_[idx]; }
 
   std::int64_t samples_of(const RadioHead& rh, Nanos dur) const {
@@ -373,10 +337,7 @@ struct E2eSystem::Impl {
       // A BurstLoss scenario replaces the i.i.d. knob: the Gilbert–Elliott
       // chain (own stream) decides, and i.i.d. is its degenerate
       // single-state case (GilbertElliott::Params::iid).
-      if (faults.channel_lost(sim.now())) {
-        if (m.f_burst != nullptr) m.f_burst->inc();
-        return true;
-      }
+      if (faults.channel_lost(sim.now())) return true;
     } else if (cfg.channel_loss > 0.0 && rng.bernoulli(cfg.channel_loss)) {
       return true;
     }
@@ -399,15 +360,14 @@ struct E2eSystem::Impl {
 
   // -- Fault-injection hooks -------------------------------------------------
   // All zero-cost when `cfg.faults` is empty: one `empty()` branch per hook.
+  // The injector tallies every fault it injects; publish_counters() reads
+  // those tallies, so no hook counts anything here.
 
   /// Added radio-bus transfer latency at `now`. An RX chain (radio_rx)
   /// traces the stall as its own Radio span; the DL TX staging folds it into
   /// `ready_at` instead, where it erodes the §4 margin and can miss the slot.
   Nanos fault_bus_stall() {
-    if (faults.empty()) return Nanos::zero();
-    const Nanos stall = faults.bus_stall(sim.now());
-    if (stall > Nanos::zero() && m.f_stall != nullptr) m.f_stall->inc();
-    return stall;
+    return faults.empty() ? Nanos::zero() : faults.bus_stall(sim.now());
   }
 
   /// One radio RX chain: delivery of the samples of `air` worth of signal
@@ -427,13 +387,9 @@ struct E2eSystem::Impl {
   /// drops the packet, otherwise the (traced) extra delay it adds.
   std::optional<Nanos> upf_outage(std::int32_t tseq) {
     if (faults.empty()) return Nanos::zero();
-    if (faults.upf_dropped(sim.now())) {
-      if (m.f_upf_drop != nullptr) m.f_upf_drop->inc();
-      return std::nullopt;
-    }
+    if (faults.upf_dropped(sim.now())) return std::nullopt;
     const Nanos extra = faults.upf_extra_delay(sim.now());
     if (extra > Nanos::zero()) {
-      if (m.f_upf_delay != nullptr) m.f_upf_delay->inc();
       tracer.span_for(tseq, "fault: UPF outage delay", LatencyCategory::Protocol, extra);
     }
     return extra;
@@ -450,30 +406,32 @@ struct E2eSystem::Impl {
         done(end);
         return;
       }
-      if (m.f_storm != nullptr) m.f_storm->inc();
       tracer.span_for(tseq, "fault: OS-jitter storm", LatencyCategory::Processing, storm);
       sim.schedule_after(storm, [this, done = std::move(done)]() mutable { done(sim.now()); });
     };
   }
 
-  /// The one writer of the loss buckets: the tally and its metric.
-  void count_loss(Loss kind) {
-    const auto k = static_cast<std::size_t>(kind);
-    ++losses[k];
-    if (m.loss[k] != nullptr) m.loss[k]->inc();
-  }
-
   /// A dropped TB/SDU also ends the traced packet: `tseq` is the per-UE
   /// trace cursor for the affected direction, and the packet is abandoned
   /// (its spans stay, it never closes).
-  void count_loss(Loss kind, std::int32_t& tseq) {
-    count_loss(kind);
+  void count_loss(Count kind, std::int32_t& tseq) {
+    ++tally[kind];
     tracer.abandon(tseq);
     tseq = -1;
   }
 
-  [[nodiscard]] std::uint64_t loss(Loss kind) const {
-    return losses[static_cast<std::size_t>(kind)];
+  /// Write the tally and the injector's fault tallies into the registry
+  /// (when metrics are on). Idempotent: every counter is set, never added.
+  void publish_counters() {
+    if (!cfg.trace.metrics_on()) return;
+    const std::size_t n = cfg.dynamic_tdd.enabled ? kCounts : kPunctured;
+    for (std::size_t i = 0; i < n; ++i) metrics.counter(kCountMetric[i]).set(tally[i]);
+    const FaultInjector::Counters& f = faults.counters();
+    metrics.counter("fault.burst_losses").set(f.burst_losses);
+    metrics.counter("fault.os_jitter_storms").set(f.storm_spikes);
+    metrics.counter("fault.radio_bus_stalls").set(f.bus_stalls);
+    metrics.counter("fault.upf_drops").set(f.upf_drops);
+    metrics.counter("fault.upf_delays").set(f.upf_delays);
   }
 
   /// After an UL drop the grant cycle that carried the TB is over; without
@@ -505,7 +463,7 @@ struct E2eSystem::Impl {
   /// common case) pays nothing for the owning copy.
   template <typename DeliverFn>
   void pdcp_receive(PdcpRx& rx, bool& armed, ByteBuffer&& sdu, const DeliverFn& deliver) {
-    if (!rx.receive(std::move(sdu), deliver)) count_loss(Loss::PdcpDiscard);
+    if (!rx.receive(std::move(sdu), deliver)) ++tally[kPdcpDiscard];
     if (rx.held_count() == 0 || armed) return;
     armed = true;
     sim.schedule_after(cfg.pdcp_t_reordering, [this, &rx, &armed, deliver] {
@@ -568,8 +526,7 @@ struct E2eSystem::Impl {
       ue.ul_trace = rec(ridx).seq;
       tracer.open(ue.ul_trace, sim.now());
     }
-    if (m.ul_sent != nullptr) m.ul_sent->inc();
-    ++packets_started;
+    ++tally[kUlSent];
     // UE application creates the packet; APP down to RLC.
     ue_traverse(ue, {Layer::APP, Layer::SDAP, Layer::PDCP, Layer::RLC}, ue.ul_trace,
                 [this, ridx, &ue](Nanos end) {
@@ -629,8 +586,7 @@ struct E2eSystem::Impl {
           if (decoded > grant.tx_start) {
             // Missed the granted window (§4's interdependency hazard):
             // the scheduler re-grants from the moment the UE was ready.
-            ++missed_grants;
-            if (m.missed_grant != nullptr) m.missed_grant->inc();
+            ++tally[kMissedGrant];
             const auto again = sched.plan_ul_grant(ue.id, decoded);
             if (again) {
               deliver_grant(ue, *again);
@@ -723,7 +679,7 @@ struct E2eSystem::Impl {
       if (attempt >= cfg.harq_max_tx) {
         // HARQ budget exhausted: account the TB, then resume the UE's
         // remaining lost TBs and backlog.
-        count_loss(Loss::Harq, ue.ul_trace);
+        count_loss(kHarqDrop, ue.ul_trace);
         resume_ul_after_drop(ue);
         return UlTx::Dropped;
       }
@@ -767,7 +723,7 @@ struct E2eSystem::Impl {
       if (++front.stranded_retries > kStrandedRetryCap) {
         ue.retx_queue.pop_front();
         ue.retx_depth = static_cast<std::uint32_t>(ue.retx_queue.size());
-        count_loss(Loss::Stranded, ue.ul_trace);
+        count_loss(kStranded, ue.ul_trace);
         resume_ul_after_drop(ue);
         return;
       }
@@ -886,8 +842,7 @@ struct E2eSystem::Impl {
       ue.dl_trace = r.seq;
       tracer.open(ue.dl_trace, sim.now());
     }
-    if (m.dl_sent != nullptr) m.dl_sent->inc();
-    ++packets_started;
+    ++tally[kDlSent];
     ByteBuffer pkt = make_payload(r.seq, cfg.payload_bytes);
     // DL packets meet the UPF first: an outage drops or delays them before
     // the radio stack ever sees a byte.
@@ -934,7 +889,7 @@ struct E2eSystem::Impl {
   template <typename Retry>
   void rearm_dl(UeCtx& ue, int stranded_retries, Retry retry) {
     if (stranded_retries >= kStrandedRetryCap) {
-      count_loss(Loss::Stranded, ue.dl_trace);
+      count_loss(kStranded, ue.dl_trace);
       return;
     }
     sim.schedule_at(sim.now() + slot_dur, std::move(retry));
@@ -1079,8 +1034,7 @@ struct E2eSystem::Impl {
     if (!prep->on_time) {
       // Samples missed the slot: corrupted signal (§4). Count it and treat
       // as a lost transmission — retransmit if budget remains.
-      ++owner.radio_deadline_misses_;
-      if (m.radio_miss != nullptr) m.radio_miss->inc();
+      ++tally[kRadioMiss];
       requeue_or_drop_dl(ue, std::move(tb), prep->ready_at, attempt,
                          token != 0 && ledger.consume(token));
       return;
@@ -1096,10 +1050,10 @@ struct E2eSystem::Impl {
   /// tallied as a re-entry); with none left it is dropped.
   void requeue_or_drop_dl(UeCtx& ue, ByteBuffer tb, Nanos ready, int attempt, bool punctured) {
     if (attempt >= cfg.harq_max_tx) {
-      count_loss(Loss::Harq, ue.dl_trace);
+      count_loss(kHarqDrop, ue.dl_trace);
       return;
     }
-    if (punctured) count_punctured_retx();
+    if (punctured) ++tally[kPunctured];
     requeue_dl_tb(ue, std::move(tb), ready, attempt + 1);
   }
 
@@ -1114,7 +1068,7 @@ struct E2eSystem::Impl {
                          token != 0 && ledger.consume(token));
       return;
     }
-    if (punctured) count_punctured_retx();
+    if (punctured) ++tally[kPunctured];
     tracer.span_to(ue.dl_trace, what, LatencyCategory::Protocol, air_end);
     tracer.span_to(ue.dl_trace, "HARQ feedback wait", LatencyCategory::Protocol,
                    air_end + cfg.harq_feedback_delay);
@@ -1190,13 +1144,10 @@ struct E2eSystem::Impl {
     r.delivered = sim.now();
     r.ok = true;
     r.harq_transmissions = attempt;
-    ++packets_delivered;
+    ++tally[kDelivered];
+    tally[kHarqRetx] += static_cast<std::uint64_t>(attempt - 1);
     tracer.close(seq, sim.now());
-    if (m.delivered != nullptr) {
-      m.delivered->inc();
-      if (attempt > 1) m.harq_retx->inc(static_cast<std::uint64_t>(attempt - 1));
-      (r.dir == Direction::Uplink ? m.ul_latency : m.dl_latency)->record(r.latency());
-    }
+    if (LatencyHistogram* h = m.latency[static_cast<std::size_t>(r.dir)]) h->record(r.latency());
   }
 };
 
@@ -1214,8 +1165,14 @@ const Simulator& E2eSystem::simulator() const { return impl_->sim; }
 
 Tracer& E2eSystem::tracer() { return impl_->tracer; }
 const Tracer& E2eSystem::tracer() const { return impl_->tracer; }
-MetricsRegistry& E2eSystem::metrics() { return impl_->metrics; }
-const MetricsRegistry& E2eSystem::metrics() const { return impl_->metrics; }
+MetricsRegistry& E2eSystem::metrics() {
+  impl_->publish_counters();
+  return impl_->metrics;
+}
+const MetricsRegistry& E2eSystem::metrics() const {
+  impl_->publish_counters();
+  return impl_->metrics;
+}
 
 void E2eSystem::send_uplink_at(Nanos at, int ue) { impl_->offer(at, ue, Direction::Uplink); }
 
@@ -1229,14 +1186,17 @@ void E2eSystem::run_until(Nanos until) {
 
 Arena& E2eSystem::slot_arena() { return impl_->arena; }
 
-std::uint64_t E2eSystem::packets_started() const { return impl_->packets_started; }
-std::uint64_t E2eSystem::packets_delivered() const { return impl_->packets_delivered; }
+std::uint64_t E2eSystem::packets_started() const {
+  return impl_->tally[kUlSent] + impl_->tally[kDlSent];
+}
+std::uint64_t E2eSystem::packets_delivered() const { return impl_->tally[kDelivered]; }
+std::uint64_t E2eSystem::radio_deadline_misses() const { return impl_->tally[kRadioMiss]; }
 
-std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->loss(Impl::Loss::Harq); }
-std::uint64_t E2eSystem::stranded_drops() const { return impl_->loss(Impl::Loss::Stranded); }
-std::uint64_t E2eSystem::pdcp_discards() const { return impl_->loss(Impl::Loss::PdcpDiscard); }
-std::uint64_t E2eSystem::punctured_retx() const { return impl_->punctured_retx; }
-std::uint64_t E2eSystem::crosslink_ul_losses() const { return impl_->xlink_losses; }
+std::uint64_t E2eSystem::harq_dropped_tbs() const { return impl_->tally[kHarqDrop]; }
+std::uint64_t E2eSystem::stranded_drops() const { return impl_->tally[kStranded]; }
+std::uint64_t E2eSystem::pdcp_discards() const { return impl_->tally[kPdcpDiscard]; }
+std::uint64_t E2eSystem::punctured_retx() const { return impl_->tally[kPunctured]; }
+std::uint64_t E2eSystem::crosslink_ul_losses() const { return impl_->tally[kXlinkLoss]; }
 
 const DuplexConfig& E2eSystem::effective_duplex() const { return *impl_->cfg.duplex; }
 

@@ -71,8 +71,10 @@ class E2eSystem {
   /// Per-packet span tracer (recording iff `StackConfig::trace.spans_on()`).
   [[nodiscard]] Tracer& tracer();
   [[nodiscard]] const Tracer& tracer() const;
-  /// Counters + latency histograms (live iff `trace.metrics_on()`);
-  /// mergeable across replications.
+  /// Counters + latency histograms (present iff `trace.metrics_on()`);
+  /// mergeable across replications. Histograms record live; the counters
+  /// are written from the system's one outcome tally (and the fault
+  /// injector's) on every call, so a read is always current.
   [[nodiscard]] MetricsRegistry& metrics();
   [[nodiscard]] const MetricsRegistry& metrics() const;
 
@@ -86,7 +88,8 @@ class E2eSystem {
   [[nodiscard]] RunningStats rlc_queue_stats_us() const;
   /// Delivered fraction within `deadline` — the reliability figure of §6.
   [[nodiscard]] double reliability_at(Direction dir, Nanos deadline) const;
-  [[nodiscard]] std::uint64_t radio_deadline_misses() const { return radio_deadline_misses_; }
+  /// DL transmissions whose samples missed the air deadline (§4).
+  [[nodiscard]] std::uint64_t radio_deadline_misses() const;
 
   // -- Loss accounting ------------------------------------------------------
   // Every offered packet ends in exactly one bucket: delivered, dropped on
@@ -95,6 +98,8 @@ class E2eSystem {
   // Tests assert `offered == delivered + harq_dropped + stranded +
   // pdcp_discards + upf_dropped` (tests/loss_identity.hpp) under
   // 1-packet-per-TB traffic, so silent loss cannot deflate reliability.
+  // Each count is stored once, in one tally; these accessors and the
+  // published metrics both read it (the UPF drops: FaultInjector).
 
   /// TBs dropped after exhausting the HARQ transmission budget (UL and DL).
   [[nodiscard]] std::uint64_t harq_dropped_tbs() const;
@@ -177,7 +182,6 @@ class E2eSystem {
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::vector<PacketRecord> records_;
-  std::uint64_t radio_deadline_misses_ = 0;
 
   friend struct Impl;
 };

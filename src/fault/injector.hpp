@@ -14,9 +14,10 @@
 //   * bus_stall(now)         — added radio-bus transfer latency (stalls)
 //   * upf_dropped(now) / upf_extra_delay(now) — core-network brown-outs
 //
-// Every injected event is tallied in `Counters`; core/e2e_system mirrors the
-// tallies into `fault.*` MetricsRegistry counters and emits tracer spans so
-// a Chrome trace shows which fault ate the budget.
+// Every injected event is tallied in `Counters`, the only count of it:
+// core/e2e_system writes these tallies into its `fault.*` MetricsRegistry
+// counters when the registry is read, and emits tracer spans so a Chrome
+// trace shows which fault ate the budget.
 
 #include <cstdint>
 #include <optional>

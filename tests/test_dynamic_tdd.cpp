@@ -20,6 +20,7 @@
 
 using namespace u5g;
 using namespace u5g::literals;
+using u5g::test::enable_metrics;
 using u5g::test::expect_loss_identity;
 
 namespace {
@@ -33,6 +34,7 @@ StackConfig preemption_config(std::uint64_t seed) {
   cfg.payload_bytes = 236;
   cfg.dynamic_tdd.enabled = true;
   cfg.dynamic_tdd.preemption = true;
+  enable_metrics(cfg);
   return cfg;
 }
 
@@ -88,6 +90,7 @@ TEST(DynamicTddAccountingTest, UplinkGrantBasedWithPolicyUnderLoss) {
   cfg.harq_max_tx = 2;
   cfg.dynamic_tdd.enabled = true;
   cfg.dynamic_tdd.preemption = true;
+  enable_metrics(cfg);
   constexpr int kPackets = 80;
   E2eSystem sys(std::move(cfg));
   for (int i = 0; i < kPackets; ++i) sys.send_uplink_at(2_ms * i + Nanos{100'000});
@@ -105,6 +108,7 @@ TEST(DynamicTddAccountingTest, UplinkGrantFreeWithPolicyUnderLoss) {
   cfg.harq_max_tx = 2;
   cfg.dynamic_tdd.enabled = true;
   cfg.dynamic_tdd.preemption = true;
+  enable_metrics(cfg);
   constexpr int kPackets = 80;
   E2eSystem sys(std::move(cfg));
   for (int i = 0; i < kPackets; ++i) sys.send_uplink_at(2_ms * i + Nanos{100'000});
@@ -130,6 +134,7 @@ StackConfig all_features_on(StackConfig cfg) {
   cfg.faults = {
       FaultScenario::burst_loss(GilbertElliott::Params::matched_average(0.1, 6.0, 0.8)),
       FaultScenario::upf_outage(FaultWindow::always(), 0.1, Nanos::zero())};
+  enable_metrics(cfg);
   return cfg;
 }
 

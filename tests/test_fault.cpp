@@ -26,7 +26,9 @@
 
 using namespace u5g;
 using namespace u5g::literals;
+using u5g::test::enable_metrics;
 using u5g::test::expect_loss_identity;
+using u5g::test::expect_published_counters;
 
 // ===========================================================================
 // Gilbert–Elliott channel process
@@ -247,6 +249,7 @@ TEST(FaultE2eTest, UpfOutageDropsAreAccounted) {
   for (const Direction dir : {Direction::Uplink, Direction::Downlink}) {
     StackConfig cfg = StackConfig::testbed_grant_based(17);
     cfg.faults = {FaultScenario::upf_outage(FaultWindow::always(), 1.0, Nanos::zero())};
+    enable_metrics(cfg);
     E2eSystem sys(std::move(cfg));
     constexpr int kPackets = 10;
     for (int i = 0; i < kPackets; ++i) {
@@ -300,6 +303,7 @@ TEST(FaultRegressionTest, StrandedUlRetransmissionIsCountedNotLeaked) {
   cfg.harq_max_tx = 8;  // budget never exhausts inside the era
   cfg.faults = {FaultScenario::burst_loss(GilbertElliott::Params::iid(1.0),
                                           FaultWindow::once(Nanos::zero(), 6_ms))};
+  enable_metrics(cfg);
   E2eSystem sys(std::move(cfg));
   sys.send_uplink_at(Nanos{100'000});
   sys.run_until(100_ms);  // past the re-arm cap (64 slots = 32 ms)
@@ -343,6 +347,7 @@ void expect_accounting_invariant(StackConfig cfg, Direction dir, int packets) {
   // where the MAC could pull a leading segment of the *next* SDU — a dropped
   // TB then never takes part of another packet with it.
   cfg.payload_bytes = 236;
+  enable_metrics(cfg);
   E2eSystem sys(std::move(cfg));
   for (int i = 0; i < packets; ++i) {
     if (dir == Direction::Uplink) {
@@ -410,11 +415,7 @@ TEST(FaultMetricsTest, FaultCountersMirrorIntoRegistry) {
   EXPECT_GT(fc.burst_losses, 0u);
   EXPECT_GT(fc.storm_spikes, 0u);
   EXPECT_GT(fc.bus_stalls, 0u);
-  EXPECT_EQ(sys.metrics().counter("fault.burst_losses").value(), fc.burst_losses);
-  EXPECT_EQ(sys.metrics().counter("fault.os_jitter_storms").value(), fc.storm_spikes);
-  EXPECT_EQ(sys.metrics().counter("fault.radio_bus_stalls").value(), fc.bus_stalls);
-  EXPECT_EQ(sys.metrics().counter("harq.dropped_tbs").value(), sys.harq_dropped_tbs());
-  EXPECT_EQ(sys.metrics().counter("harq.stranded_drops").value(), sys.stranded_drops());
+  expect_published_counters(sys);
 }
 
 TEST(FaultShardedTest, MergedResultsIdenticalAcrossWorkerCountsWithFaults) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "alloc_counter.hpp"
 #include "common/time.hpp"
 #include "core/e2e_system.hpp"
+#include "loss_identity.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -333,6 +335,46 @@ TEST(TraceE2eTest, MetricsMatchRecords) {
   }
   EXPECT_EQ(lo.count(), h.min());
   EXPECT_EQ(hi.count(), h.max());
+}
+
+TEST(TraceE2eTest, MetricsReadMidRunStayCurrentAndCountNothingTwice) {
+  // Counters are written into the registry when it is read. A read at t1
+  // followed by a read at t2 must show the t2 state exactly: neither stale
+  // t1 values nor t1 values added on top of t2's.
+  const auto make = [] {
+    StackConfig cfg = StackConfig::testbed_grant_based(/*seed=*/29);
+    test::enable_metrics(cfg);
+    cfg.harq_max_tx = 2;
+    cfg.num_ues = 2;
+    cfg.dynamic_tdd.enabled = true;
+    cfg.dynamic_tdd.preemption = true;
+    cfg.faults = {
+        FaultScenario::burst_loss(GilbertElliott::Params::matched_average(0.2, 6.0, 0.8)),
+        FaultScenario::os_jitter_storm(FaultWindow::always()),
+        FaultScenario::upf_outage(FaultWindow::always(), 0.1, Nanos{20'000})};
+    auto sys = std::make_unique<E2eSystem>(cfg);
+    for (int i = 0; i < 40; ++i) {
+      sys->send_uplink_at(2_ms * i, i % 2);
+      sys->send_downlink_at(2_ms * i + 1_ms, i % 2);
+    }
+    return sys;
+  };
+  const Nanos t1 = 30_ms;
+  const Nanos t2 = 500_ms;
+
+  const auto twice = make();
+  twice->run_until(t1);
+  test::expect_published_counters(*twice);
+  const std::uint64_t delivered_t1 = twice->metrics().counter("packets.delivered").value();
+  const std::uint64_t storms_t1 = twice->metrics().counter("fault.os_jitter_storms").value();
+  twice->run_until(t2);
+  test::expect_published_counters(*twice);
+  EXPECT_GT(twice->packets_delivered(), delivered_t1);
+  EXPECT_GT(twice->fault_counters().storm_spikes, storms_t1);
+
+  const auto once = make();
+  once->run_until(t2);
+  EXPECT_EQ(once->metrics().to_json(), twice->metrics().to_json());
 }
 
 // ---------------------------------------------------------------------------
